@@ -191,8 +191,8 @@ impl Synth {
     /// `nodes / 32`), so on any limited-pointer protocol the reader
     /// sets blow far past the hardware pointers and every block
     /// overflows into the software extension — the workload that makes
-    /// 512- and 1024-node runs exercise the directory's slab regimes
-    /// rather than coast on small worker sets. Only a full-map
+    /// 512- and 1024-node runs exercise the directory's multi-word
+    /// presence rows rather than coast on small worker sets. Only a full-map
     /// directory (capacity = nodes) absorbs it without trapping.
     pub fn scale_out(nodes: usize, scale: Scale) -> Self {
         Synth {
@@ -625,12 +625,12 @@ mod tests {
 
     #[test]
     fn scale_out_traps_at_every_limited_pointer_regime_past_512_nodes() {
-        // 520 nodes puts the hardware table past the mask regime:
-        // capacity <= 8 runs Fixed8, capacity > 8 the word-parallel
-        // slab. scale_out's worker sets (ws = 65 here) overflow every
-        // limited-pointer capacity, so the software extension traps in
-        // all of them; only a full map (capacity = nodes) absorbs the
-        // sharing in hardware. Blocks and rounds are trimmed to keep
+        // 520 nodes gives every directory row nine presence words,
+        // whatever the pointer count. scale_out's worker sets (ws = 65
+        // here) overflow every limited-pointer capacity, so the
+        // software extension traps at 1, 8 and 16 pointers alike; only
+        // a full map (capacity = nodes) absorbs the sharing in
+        // hardware. Blocks and rounds are trimmed to keep
         // the 520-node machine test-sized.
         let app = Synth {
             blocks: 6,
@@ -645,7 +645,7 @@ mod tests {
         for ptrs in [1usize, 8, 16] {
             assert!(
                 run(ProtocolSpec::limitless(ptrs)) > 0,
-                "{ptrs}-pointer regime must overflow into software"
+                "{ptrs}-pointer directory must overflow into software"
             );
         }
         assert_eq!(run(ProtocolSpec::full_map()), 0, "full map never traps");

@@ -74,9 +74,9 @@ pub const SCALE_TRIAL_STRIDE: usize = 8;
 ///
 /// Every [`SCALE_TRIAL_STRIDE`]th trial instead samples a ≥512-node
 /// wide-shared spec (the `nodes_hint` overrides the campaign's
-/// machine size), so the word-parallel slab/record directory regimes
-/// and the u16-id scale paths sit inside the standing campaign rather
-/// than only in targeted tests. Those trials stay deliberately small
+/// machine size), so multi-word directory rows and the u16-id scale
+/// paths sit inside the standing campaign rather than only in
+/// targeted tests. Those trials stay deliberately small
 /// in blocks and rounds — a 512-node oracle cell already dwarfs a
 /// 16-node one.
 pub fn sample_spec(base_seed: u64, index: usize, quick: bool) -> Synth {

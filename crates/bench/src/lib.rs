@@ -1,11 +1,13 @@
 //! Experiment harnesses: the code that regenerates every table and
 //! figure of the paper's evaluation.
 //!
-//! Each `cargo bench` target in this crate prints one table or figure
-//! (see DESIGN.md §3 for the index). Problem sizes default to
-//! [`Scale::Quick`]; set `LIMITLESS_SCALE=paper` for the paper's
-//! Table 3 sizes, and `LIMITLESS_NODES=<n>` to override the default
-//! machine sizes.
+//! Each experiment prints one table or figure through the
+//! `limitless-bench <experiment>` CLI, e.g. `limitless-bench fig2
+//! --quick` (see DESIGN.md §3 for the index). Problem sizes default to
+//! [`Scale::Quick`]; `--paper` (or `LIMITLESS_SCALE=paper`) selects the
+//! paper's Table 3 sizes, and `--nodes N` overrides the default machine
+//! sizes. `cargo bench -p limitless-bench --bench micro` runs the
+//! data-structure micro-benchmarks.
 
 use limitless_apps::{run_app, App, Scale};
 use limitless_core::{HandlerImpl, ProtocolSpec};
@@ -42,21 +44,6 @@ pub struct Harness {
 }
 
 impl Harness {
-    /// Builds a harness from the environment (`LIMITLESS_SCALE`,
-    /// `LIMITLESS_NODES`, `LIMITLESS_SHARDS`).
-    pub fn from_env() -> Self {
-        Harness {
-            scale: Scale::from_env(),
-            nodes_override: std::env::var("LIMITLESS_NODES")
-                .ok()
-                .and_then(|s| s.parse().ok()),
-            shards: std::env::var("LIMITLESS_SHARDS")
-                .ok()
-                .and_then(|s| s.parse().ok())
-                .unwrap_or(1),
-        }
-    }
-
     /// The node count to use, given an experiment default. Quick scale
     /// shrinks the paper's 64/256-node configurations to keep
     /// single-core wall time reasonable.

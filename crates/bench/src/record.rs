@@ -27,7 +27,7 @@ pub struct CellRecord {
     pub traps: u64,
     /// Operations that required a protocol transaction; `traps /
     /// misses` is the share of directory traffic that overflowed the
-    /// hardware pointer regime into software (0 = unknown in old
+    /// hardware pointers into software (0 = unknown in old
     /// records).
     pub misses: u64,
     /// Min-of-N host wall seconds for this cell.

@@ -164,34 +164,17 @@ impl<'a> HandlerCtx<'a> {
     /// Empties all hardware pointers into the software directory
     /// (billed per pointer stored). Returns how many moved.
     ///
-    /// On <= 64-node machines both sides store presence bitmasks, so
-    /// the whole transfer is one word moved ([`HwEntryMut::take_ptr_mask`]
-    /// into [`SwDirectory::record_reader_mask`]). On larger machines
-    /// whose hardware table runs the word-parallel slab regime the
-    /// transfer moves 64 presence bits per step ([`HwEntryMut::ptr_words`]
-    /// ORed in place into [`SwDirectory::record_reader_words`]). Only
-    /// the Fixed8 regime (> 64 nodes, <= 8 pointers) streams pointers
-    /// one at a time — and it has at most 8 to move. No path allocates
-    /// or copies through an intermediate buffer.
+    /// Both sides store presence words of the same width, so the
+    /// transfer ORs the hardware row into the software record 64
+    /// pointers per step ([`HwEntryRef::ptr_words`] into
+    /// [`SwDirectory::record_reader_words`]), billed exactly like a
+    /// per-pointer [`SwDirectory::record_reader`] loop, with no
+    /// allocation or intermediate buffer.
+    ///
+    /// [`HwEntryRef::ptr_words`]: limitless_dir::HwEntryRef::ptr_words
     pub fn drain_hw_to_sw(&mut self) -> usize {
-        let HandlerCtx { hw, sw, id, .. } = self;
-        let n = match hw.take_ptr_mask() {
-            Some(mask) => sw.record_reader_mask(*id, mask),
-            None => match hw
-                .ptr_words()
-                .map(|words| sw.record_reader_words(*id, words))
-            {
-                Some(n) => {
-                    hw.clear_ptrs();
-                    n
-                }
-                None => {
-                    let n = hw.ptr_iter().filter(|&p| sw.record_reader(*id, p)).count();
-                    hw.clear_ptrs();
-                    n
-                }
-            },
-        };
+        let n = self.sw.record_reader_words(self.id, self.hw.ptr_words());
+        self.hw.clear_ptrs();
         self.ptrs_stored += n;
         n
     }
@@ -575,6 +558,44 @@ mod tests {
         let mut buf = vec![NodeId(9)];
         ctx.sharers_into(&mut buf);
         assert_eq!(buf, vec![NodeId(1), NodeId(2)]);
+    }
+
+    #[test]
+    fn drain_hw_to_sw_matches_a_per_pointer_record_loop() {
+        // The bulk word transfer must leave the software directory's
+        // stats and reader set exactly as a per-pointer
+        // `record_reader` loop would, including the record that was
+        // already live and readers already recorded in software.
+        for nodes in [64usize, 1024] {
+            let cap = 8;
+            let ptrs: Vec<NodeId> = [1u16, 7, 33, 63, 64, 500, 1023]
+                .into_iter()
+                .filter(|&n| usize::from(n) < nodes)
+                .map(NodeId)
+                .collect();
+            for prior in [&[][..], &[NodeId(7), NodeId(2)][..]] {
+                let mut t = HwDirTable::with_nodes(cap, nodes);
+                t.push_row();
+                let mut bulk = SwDirectory::for_nodes(nodes);
+                let mut looped = SwDirectory::for_nodes(nodes);
+                for &p in prior {
+                    bulk.record_reader(7, p);
+                    looped.record_reader(7, p);
+                }
+                let mut hw = t.row_mut(0);
+                for &p in &ptrs {
+                    hw.record_reader(p);
+                }
+                let want = ptrs.iter().filter(|&&p| looped.record_reader(7, p)).count();
+                let spec = ProtocolSpec::limitless(cap);
+                let mut ctx = HandlerCtx::new(NodeId(0), nodes, spec, BlockAddr(7), hw, &mut bulk);
+                assert_eq!(ctx.drain_hw_to_sw(), want, "{nodes}");
+                drop(ctx);
+                assert_eq!(bulk.stats(), looped.stats(), "{nodes}");
+                assert_eq!(bulk.readers_vec(7), looped.readers_vec(7), "{nodes}");
+                assert_eq!(t.row(0).ptr_count(), 0, "{nodes}");
+            }
+        }
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! `Vec<BlockState>` keyed by an interned id. This revision goes one
 //! step further: the fat `BlockState` record is split into parallel
 //! columns — the hardware entries live in a [`HwDirTable`] (packed
-//! flag bits, sentinel-encoded options, one flat pointer slab), and
+//! flag bits, sentinel-encoded options, one flat presence-word
+//! column for the pointers), and
 //! the engine-side booleans are packed into a one-byte bitset column
 //! beside a sentinel-encoded owner-fetch column — so a directory event
 //! touches a few adjacent bytes instead of a fat struct. Interning is
@@ -172,8 +173,8 @@ impl DirectoryTable {
     /// Creates an empty table for home `home` of `homes`, whose
     /// hardware entries have `capacity` pointers each (a per-machine
     /// constant: the protocol's pointer count). `homes` is the machine
-    /// node count, which picks the hardware pointer-storage regime
-    /// (bitmask on <= 64 nodes; see [`HwDirTable::with_nodes`]).
+    /// node count, which sets the presence-word width of every pointer
+    /// row (see [`HwDirTable::with_nodes`]).
     pub fn new(capacity: usize, home: u32, homes: u32) -> Self {
         DirectoryTable {
             interner: BlockInterner::new(home, homes),

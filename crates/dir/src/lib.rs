@@ -15,13 +15,15 @@
 //!   extension software manipulates through the flexible coherence
 //!   interface (paper §4.1).
 //!
-//! Production storage for the hardware half is the struct-of-arrays
-//! [`HwDirTable`], whose [`HwEntryMut`]/[`HwEntryRef`] row views expose
-//! the `HwDirEntry` method set over packed column vectors; pointer sets
-//! live in a per-row `u64` presence bitmask on machines of <= 64 nodes
-//! and in inline fixed-width (or strided slab) storage beyond that
-//! (DESIGN.md §12). `HwDirEntry` and [`SwDirModel`] remain the fat
-//! reference models both halves are differentially tested against.
+//! Both halves store their sharer sets in one format, [`PresenceRows`]:
+//! rows of `ceil(nodes / 64)` `u64` presence words at every machine
+//! size (DESIGN.md §12). Production storage for the hardware half is
+//! the struct-of-arrays [`HwDirTable`], whose [`HwEntryMut`]/
+//! [`HwEntryRef`] row views expose the `HwDirEntry` method set over
+//! packed columns, with the protocol's pointer count as a bound on the
+//! row's set size. [`SwDirectory`] gives every block id one unbounded
+//! row. `HwDirEntry` and [`SwDirModel`] remain the fat reference models
+//! both halves are differentially tested against.
 //!
 //! # Examples
 //!
@@ -37,8 +39,10 @@
 
 pub mod hw;
 pub mod hw_table;
+pub mod presence;
 pub mod sw;
 
 pub use hw::{HwDirEntry, HwState, PtrStoreOutcome};
-pub use hw_table::{HwDirTable, HwEntryMut, HwEntryRef, PtrIter};
+pub use hw_table::{HwDirTable, HwEntryMut, HwEntryRef};
+pub use presence::{PresenceRows, PtrIter};
 pub use sw::{SwDirEntry, SwDirModel, SwDirStats, SwDirectory};

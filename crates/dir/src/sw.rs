@@ -16,12 +16,10 @@
 //!   whose hash is the identity: slot = id, probe length exactly 1,
 //!   growth by plain extension with **no rehash** (a stored id's slot
 //!   never moves — the degenerate limit of the growable node-cache
-//!   scheme in SNIPPETS.md snippet 2). On machines of <= 64 nodes a
-//!   record is a single `u64` reader bitmask (the mask regime); on
-//!   larger machines records are recycled `ceil(nodes / 64)`-word
-//!   presence bitmasks off a free list (the record regime — the mask
-//!   regime widened to arbitrary node counts, so membership is one
-//!   bit test and draining walks 64 presence bits per step).
+//!   scheme in SNIPPETS.md snippet 2). Slot `id` is row `id` of a
+//!   [`PresenceRows`] column: `ceil(nodes / 64)` presence words, the
+//!   same layout as the hardware pointers, so membership is one bit
+//!   test and draining walks 64 presence bits per step.
 //! * [`SwDirModel`] — the original `FxHashMap<BlockAddr, SwDirEntry>`
 //!   implementation, kept as the reference model the production table
 //!   is differentially tested against (`tests/prop_dirhot.rs`).
@@ -29,6 +27,8 @@
 use std::collections::hash_map::Entry;
 
 use limitless_sim::{BlockAddr, FxHashMap, NodeId};
+
+use crate::presence::{popcount, PresenceRows};
 
 /// The software extension record for one overflowed block: the
 /// pointers that did not fit in hardware.
@@ -95,19 +95,16 @@ pub struct SwDirStats {
     pub peak_entries: u64,
 }
 
-/// Sentinel head index: no extension record for this block id.
-const NO_RECORD: u32 = u32::MAX;
-
 /// The per-home software directory, keyed by dense `u32` block ids.
 ///
 /// Slot `id` of the table belongs to block id `id` forever (identity
-/// hash, probe length 1); growing the table extends the slot vector
-/// without moving anything. See the module docs for the two record
-/// regimes. The operation counters ([`SwDirStats`]) bill exactly like
-/// the reference [`SwDirModel`]: one lookup per recorded/queried
-/// pointer on the mutating paths, an "allocation" whenever an empty
-/// record goes live (even when its storage is recycled), a "free"
-/// whenever a live record empties.
+/// hash, probe length 1): it is row `id` of a [`PresenceRows`] column,
+/// and an empty row *is* "no record". Growing the table appends rows
+/// without moving anything. The operation counters ([`SwDirStats`])
+/// bill exactly like the reference [`SwDirModel`]: one lookup per
+/// recorded/queried pointer on the mutating paths, an "allocation"
+/// whenever an empty record goes live, a "free" whenever a live record
+/// empties.
 ///
 /// # Examples
 ///
@@ -122,23 +119,8 @@ const NO_RECORD: u32 = u32::MAX;
 /// ```
 #[derive(Clone, Debug)]
 pub struct SwDirectory {
-    /// Mask regime (<= 64 nodes): one reader bitmask per block id.
-    mask_regime: bool,
-    /// Mask regime storage; `masks[id] == 0` means no record.
-    masks: Vec<u64>,
-    /// Record regime: presence words per record (`ceil(nodes / 64)`).
-    words: usize,
-    /// Record regime: per-id index into `records`, [`NO_RECORD`] when
-    /// absent.
-    heads: Vec<u32>,
-    /// Record regime storage: `words` presence-bit `u64`s per record
-    /// (readers iterate in ascending node order).
-    records: Vec<Vec<u64>>,
-    /// Record regime: live reader count per record (spares multi-word
-    /// popcounts on the hot paths).
-    counts: Vec<u32>,
-    /// Recycled `records` slots (word storage retained, zeroed).
-    free: Vec<u32>,
+    /// Reader set of every block id seen so far, one row each.
+    readers: PresenceRows,
     /// Live (non-empty) record count.
     live: usize,
     stats: SwDirStats,
@@ -152,45 +134,30 @@ impl Default for SwDirectory {
 
 impl SwDirectory {
     /// Creates an empty software directory for a paper-scale machine
-    /// (<= 64 nodes, mask regime). Equivalent to `for_nodes(64)`.
+    /// (<= 64 nodes, one presence word per record). Equivalent to
+    /// `for_nodes(64)`.
     pub fn new() -> Self {
         SwDirectory::for_nodes(64)
     }
 
     /// Creates an empty software directory for a `nodes`-node machine;
-    /// the node count picks the record regime (see the module docs).
+    /// records are `ceil(nodes / 64)` presence words.
     pub fn for_nodes(nodes: usize) -> Self {
-        let mask_regime = nodes <= 64;
         SwDirectory {
-            mask_regime,
-            masks: Vec::new(),
-            words: if mask_regime { 0 } else { nodes.div_ceil(64) },
-            heads: Vec::new(),
-            records: Vec::new(),
-            counts: Vec::new(),
-            free: Vec::new(),
+            readers: PresenceRows::new(nodes),
             live: 0,
             stats: SwDirStats::default(),
         }
     }
 
-    /// Grows the slot column to cover `id`. New slots are empty; a
-    /// slot, once assigned, never moves (no rehash on growth).
+    /// Whether `id` has a row (a slot that may hold a record).
     #[inline]
-    fn ensure(&mut self, id: u32) {
-        let want = id as usize + 1;
-        if self.mask_regime {
-            if self.masks.len() < want {
-                self.masks.resize(want, 0);
-            }
-        } else if self.heads.len() < want {
-            self.heads.resize(want, NO_RECORD);
-        }
+    fn has_slot(&self, id: u32) -> bool {
+        self.readers.has_row(id as usize)
     }
 
     /// Bumps the live-record count and its high-water mark (a record
-    /// just went empty → non-empty, an "allocation" to the cost model
-    /// even when the storage is recycled).
+    /// just went empty → non-empty, an "allocation" to the cost model).
     #[inline]
     fn note_alloc(&mut self) {
         self.stats.allocs += 1;
@@ -198,291 +165,109 @@ impl SwDirectory {
         self.stats.peak_entries = self.stats.peak_entries.max(self.live as u64);
     }
 
+    /// Bills the release of a record that just emptied.
+    #[inline]
+    fn note_free(&mut self) {
+        self.stats.frees += 1;
+        self.live -= 1;
+    }
+
     /// Whether an extension record exists for `id` (uncounted probe
     /// for assertions and stats).
     #[inline]
     pub fn contains(&self, id: u32) -> bool {
-        if self.mask_regime {
-            self.masks.get(id as usize).is_some_and(|&m| m != 0)
-        } else {
-            self.heads.get(id as usize).is_some_and(|&h| h != NO_RECORD)
-        }
+        self.has_slot(id) && !self.readers.is_empty(id as usize)
     }
 
     /// Records a reader for `id`, allocating an extension record if
     /// needed. Returns `true` if the reader was newly recorded.
     pub fn record_reader(&mut self, id: u32, node: NodeId) -> bool {
         self.stats.lookups += 1;
-        self.ensure(id);
-        if self.mask_regime {
-            debug_assert!(u32::from(node.0) < 64, "node {node} outside mask regime");
-            let m = &mut self.masks[id as usize];
-            let bit = 1u64 << (node.0 & 63);
-            let was = *m;
-            *m |= bit;
-            if was == 0 {
-                self.note_alloc();
-            }
-            let new = was & bit == 0;
-            self.stats.ptrs_stored += u64::from(new);
-            new
-        } else {
-            debug_assert!(
-                usize::from(node.0 >> 6) < self.words,
-                "node {node} outside the record regime's presence words"
-            );
-            let slot = self.record_slot(id);
-            let w = &mut self.records[slot][usize::from(node.0 >> 6)];
-            let bit = 1u64 << (node.0 & 63);
-            if *w & bit != 0 {
-                false
-            } else {
-                *w |= bit;
-                self.counts[slot] += 1;
-                self.stats.ptrs_stored += 1;
-                true
-            }
+        self.readers.grow_to(id as usize + 1);
+        let was_empty = self.readers.is_empty(id as usize);
+        let new = self.readers.insert(id as usize, node);
+        if was_empty && new {
+            self.note_alloc();
         }
+        self.stats.ptrs_stored += u64::from(new);
+        new
     }
 
-    /// Record-regime helper: the `records` index for `id`, allocating
-    /// (recycled first) when absent. Recycled word storage arrives
-    /// zeroed; fresh records are zero-filled to `words`.
-    fn record_slot(&mut self, id: u32) -> usize {
-        let h = self.heads[id as usize];
-        if h != NO_RECORD {
-            return h as usize;
-        }
-        let slot = match self.free.pop() {
-            Some(s) => s,
-            None => {
-                let s = u32::try_from(self.records.len()).expect("2^32 extension records");
-                self.records.push(vec![0; self.words]);
-                self.counts.push(0);
-                s
-            }
-        };
-        self.heads[id as usize] = slot;
-        self.note_alloc();
-        slot as usize
-    }
-
-    /// Records many readers at once (the overflow handler emptying the
-    /// hardware pointers into software). Returns how many were new.
+    /// Records many readers at once. Returns how many were new.
     pub fn record_readers(&mut self, id: u32, nodes: &[NodeId]) -> usize {
         nodes.iter().filter(|&&n| self.record_reader(id, n)).count()
     }
 
-    /// Mask-regime fast path for the overflow handler: ORs a whole
-    /// presence bitmask (from [`HwEntryMut::take_ptr_mask`]) into the
-    /// record in one operation, billing exactly like the equivalent
-    /// per-node [`SwDirectory::record_readers`] loop. Returns how many
-    /// readers were new.
-    ///
-    /// [`HwEntryMut::take_ptr_mask`]: crate::HwEntryMut::take_ptr_mask
-    ///
-    /// # Panics
-    ///
-    /// Debug-panics when called in the record regime (> 64 nodes; the
-    /// hardware table never produces a mask there).
-    pub fn record_reader_mask(&mut self, id: u32, mask: u64) -> usize {
-        debug_assert!(self.mask_regime, "reader bitmasks need the mask regime");
-        self.stats.lookups += u64::from(mask.count_ones());
-        if mask == 0 {
-            return 0;
-        }
-        self.ensure(id);
-        let m = &mut self.masks[id as usize];
-        let new = mask & !*m;
-        let was = *m;
-        *m |= mask;
-        if was == 0 {
-            self.note_alloc();
-        }
-        self.stats.ptrs_stored += u64::from(new.count_ones());
-        new.count_ones() as usize
-    }
-
-    /// Record-regime fast path for the overflow handler: ORs a slice
-    /// of presence words (from [`HwEntryMut::take_ptr_words_into`];
-    /// bit `b` of word `w` is node `w * 64 + b`) into the record 64
-    /// readers per step, billing exactly like the equivalent per-node
+    /// The overflow handler's bulk path: ORs presence words (from
+    /// [`HwEntryRef::ptr_words`]; bit `b` of word `w` is node
+    /// `w * 64 + b`) into the record 64 readers per step, billing
+    /// exactly like the equivalent per-node
     /// [`SwDirectory::record_readers`] loop. Returns how many readers
     /// were new.
     ///
-    /// [`HwEntryMut::take_ptr_words_into`]: crate::HwEntryMut::take_ptr_words_into
-    ///
-    /// # Panics
-    ///
-    /// Debug-panics when called in the mask regime (<= 64 nodes; use
-    /// [`SwDirectory::record_reader_mask`] there) or when `words`
-    /// exceeds the record width.
+    /// [`HwEntryRef::ptr_words`]: crate::HwEntryRef::ptr_words
     pub fn record_reader_words(&mut self, id: u32, words: &[u64]) -> usize {
-        debug_assert!(!self.mask_regime, "presence words need the record regime");
-        debug_assert!(
-            words.len() <= self.words,
-            "presence words wider than the machine"
-        );
-        let total: u64 = words.iter().map(|w| u64::from(w.count_ones())).sum();
-        self.stats.lookups += total;
+        let total = popcount(words);
+        self.stats.lookups += total as u64;
         if total == 0 {
             return 0;
         }
-        self.ensure(id);
-        let slot = self.record_slot(id);
-        let rec = &mut self.records[slot];
-        let mut new = 0u32;
-        for (dst, &src) in rec.iter_mut().zip(words) {
-            let add = src & !*dst;
-            *dst |= add;
-            new += add.count_ones();
+        self.readers.grow_to(id as usize + 1);
+        if self.readers.is_empty(id as usize) {
+            self.note_alloc();
         }
-        self.counts[slot] += new;
-        self.stats.ptrs_stored += u64::from(new);
-        new as usize
+        let new = self.readers.or_in(id as usize, words);
+        self.stats.ptrs_stored += new as u64;
+        new
     }
 
     /// Removes all readers for `id`, appending them to `out` in
-    /// ascending node order (both regimes walk presence bits, the
-    /// record regime 64 per step) and freeing the record. Returns how
-    /// many readers were removed.
+    /// ascending node order and freeing the record. Returns how many
+    /// readers were removed.
     pub fn drain_readers_into(&mut self, id: u32, out: &mut Vec<NodeId>) -> usize {
         self.stats.lookups += 1;
-        if self.mask_regime {
-            let Some(m) = self.masks.get_mut(id as usize) else {
-                return 0;
-            };
-            let mut m = std::mem::take(m);
-            if m == 0 {
-                return 0;
-            }
-            let n = m.count_ones() as usize;
-            while m != 0 {
-                out.push(NodeId(m.trailing_zeros() as u16));
-                m &= m - 1;
-            }
-            self.stats.frees += 1;
-            self.live -= 1;
-            n
-        } else {
-            let Some(&h) = self.heads.get(id as usize) else {
-                return 0;
-            };
-            if h == NO_RECORD {
-                return 0;
-            }
-            self.heads[id as usize] = NO_RECORD;
-            let rec = &mut self.records[h as usize];
-            for (wi, w) in rec.iter_mut().enumerate() {
-                let mut m = std::mem::take(w);
-                while m != 0 {
-                    out.push(NodeId(((wi as u32) * 64 + m.trailing_zeros()) as u16));
-                    m &= m - 1;
-                }
-            }
-            let n = self.counts[h as usize] as usize;
-            self.counts[h as usize] = 0;
-            self.free.push(h);
-            self.stats.frees += 1;
-            self.live -= 1;
-            n
+        if !self.contains(id) {
+            return 0;
         }
+        self.note_free();
+        self.readers.drain_into(id as usize, out)
     }
 
     /// Removes all readers for `id` without returning them, freeing
-    /// the record (record regime: its zeroed word storage goes back to
-    /// the free list). This is the zero-allocation path for handlers
-    /// that invalidate from a separately computed sharer list. Returns
-    /// how many readers were dropped.
+    /// the record. This is the zero-allocation path for handlers that
+    /// invalidate from a separately computed sharer list. Returns how
+    /// many readers were dropped.
     pub fn clear_readers(&mut self, id: u32) -> usize {
         self.stats.lookups += 1;
-        if self.mask_regime {
-            let Some(m) = self.masks.get_mut(id as usize) else {
-                return 0;
-            };
-            let m = std::mem::take(m);
-            if m == 0 {
-                return 0;
-            }
-            self.stats.frees += 1;
-            self.live -= 1;
-            m.count_ones() as usize
-        } else {
-            let Some(&h) = self.heads.get(id as usize) else {
-                return 0;
-            };
-            if h == NO_RECORD {
-                return 0;
-            }
-            self.heads[id as usize] = NO_RECORD;
-            self.records[h as usize].fill(0);
-            let n = self.counts[h as usize] as usize;
-            self.counts[h as usize] = 0;
-            self.free.push(h);
-            self.stats.frees += 1;
-            self.live -= 1;
-            n
+        if !self.contains(id) {
+            return 0;
         }
+        self.note_free();
+        self.readers.clear_row(id as usize)
     }
 
     /// Number of readers recorded for `id` (uncounted).
     #[inline]
     pub fn reader_count(&self, id: u32) -> usize {
-        if self.mask_regime {
-            self.masks
-                .get(id as usize)
-                .map_or(0, |m| m.count_ones() as usize)
+        if self.has_slot(id) {
+            self.readers.count(id as usize)
         } else {
-            match self.heads.get(id as usize) {
-                Some(&h) if h != NO_RECORD => self.counts[h as usize] as usize,
-                _ => 0,
-            }
+            0
         }
     }
 
     /// Whether `node` is recorded as a reader of `id` (uncounted).
     #[inline]
     pub fn contains_reader(&self, id: u32, node: NodeId) -> bool {
-        if self.mask_regime {
-            u32::from(node.0) < 64
-                && self
-                    .masks
-                    .get(id as usize)
-                    .is_some_and(|&m| m & (1u64 << (node.0 & 63)) != 0)
-        } else {
-            match self.heads.get(id as usize) {
-                Some(&h) if h != NO_RECORD => {
-                    let w = usize::from(node.0 >> 6);
-                    w < self.words && self.records[h as usize][w] & (1u64 << (node.0 & 63)) != 0
-                }
-                _ => false,
-            }
-        }
+        self.has_slot(id) && self.readers.contains(id as usize, node)
     }
 
     /// Appends the readers of `id` to `out` without removing them
-    /// (ascending node order in both regimes; uncounted).
+    /// (ascending node order; uncounted).
     #[inline]
     pub fn extend_readers(&self, id: u32, out: &mut Vec<NodeId>) {
-        if self.mask_regime {
-            let Some(&m) = self.masks.get(id as usize) else {
-                return;
-            };
-            let mut m = m;
-            while m != 0 {
-                out.push(NodeId(m.trailing_zeros() as u16));
-                m &= m - 1;
-            }
-        } else if let Some(&h) = self.heads.get(id as usize) {
-            if h != NO_RECORD {
-                for (wi, &w) in self.records[h as usize].iter().enumerate() {
-                    let mut m = w;
-                    while m != 0 {
-                        out.push(NodeId(((wi as u32) * 64 + m.trailing_zeros()) as u16));
-                        m &= m - 1;
-                    }
-                }
-            }
+        if self.has_slot(id) {
+            out.extend(self.readers.iter(id as usize));
         }
     }
 
@@ -494,65 +279,18 @@ impl SwDirectory {
         out
     }
 
-    /// The reader bitmask of `id` under the mask regime (`None` in the
-    /// record regime).
-    #[inline]
-    pub fn reader_mask(&self, id: u32) -> Option<u64> {
-        if self.mask_regime {
-            Some(self.masks.get(id as usize).copied().unwrap_or(0))
-        } else {
-            None
-        }
-    }
-
     /// Removes one reader pointer from `id`'s record (replacement
     /// hint). Frees the record if it becomes empty. Returns whether
     /// the pointer was present.
     pub fn remove_reader(&mut self, id: u32, node: NodeId) -> bool {
         self.stats.lookups += 1;
-        if self.mask_regime {
-            if u32::from(node.0) >= 64 {
-                return false;
-            }
-            let Some(m) = self.masks.get_mut(id as usize) else {
-                return false;
-            };
-            let bit = 1u64 << (node.0 & 63);
-            if *m & bit == 0 {
-                return false;
-            }
-            *m &= !bit;
-            if *m == 0 {
-                self.stats.frees += 1;
-                self.live -= 1;
-            }
-            true
-        } else {
-            let Some(&h) = self.heads.get(id as usize) else {
-                return false;
-            };
-            if h == NO_RECORD {
-                return false;
-            }
-            let w = usize::from(node.0 >> 6);
-            if w >= self.words {
-                return false;
-            }
-            let word = &mut self.records[h as usize][w];
-            let bit = 1u64 << (node.0 & 63);
-            if *word & bit == 0 {
-                return false;
-            }
-            *word &= !bit;
-            self.counts[h as usize] -= 1;
-            if self.counts[h as usize] == 0 {
-                self.heads[id as usize] = NO_RECORD;
-                self.free.push(h);
-                self.stats.frees += 1;
-                self.live -= 1;
-            }
-            true
+        if !self.has_slot(id) || !self.readers.remove(id as usize, node) {
+            return false;
         }
+        if self.readers.is_empty(id as usize) {
+            self.note_free();
+        }
+        true
     }
 
     /// Number of live extension records.
@@ -560,53 +298,21 @@ impl SwDirectory {
         self.live
     }
 
-    /// Empties the directory while keeping the regime choice and the
-    /// slot/record storage capacity — the machine-reuse reset path.
-    /// Afterwards the directory behaves exactly like a freshly
-    /// constructed one (counters restart at zero; record-regime word
-    /// storage is recycled zeroed).
+    /// Empties the directory while keeping the record width and the
+    /// storage capacity — the machine-reuse reset path. Afterwards the
+    /// directory behaves exactly like a freshly constructed one
+    /// (counters restart at zero).
     pub fn clear(&mut self) {
-        self.masks.clear();
-        self.heads.clear();
-        self.free.clear();
-        for (i, rec) in self.records.iter_mut().enumerate() {
-            rec.fill(0);
-            self.counts[i] = 0;
-            self.free.push(i as u32);
-        }
+        self.readers.clear();
         self.live = 0;
         self.stats = SwDirStats::default();
     }
 
     /// Extension-record invariants for `id`, checked by the coherence
-    /// sanitizer: no record left allocated but empty, and the cached
-    /// reader count matching the presence bits (duplicates are
-    /// unrepresentable in both regimes, and empty masks *are* "no
-    /// record" under the mask regime, so only the record regime can
-    /// fail).
-    pub fn structural_invariants(&self, id: u32) -> Result<(), String> {
-        if self.mask_regime {
-            return Ok(());
-        }
-        let Some(&h) = self.heads.get(id as usize) else {
-            return Ok(());
-        };
-        if h == NO_RECORD {
-            return Ok(());
-        }
-        let count = self.counts[h as usize];
-        if count == 0 {
-            return Err("empty software record left allocated".to_string());
-        }
-        let popcount: u32 = self.records[h as usize]
-            .iter()
-            .map(|w| w.count_ones())
-            .sum();
-        if popcount != count {
-            return Err(format!(
-                "software record counts {count} readers but stores {popcount}"
-            ));
-        }
+    /// sanitizer. None can fail: duplicate readers are unrepresentable
+    /// in presence words, and an empty row *is* "no record", so no
+    /// record can be left allocated but empty.
+    pub fn structural_invariants(&self, _id: u32) -> Result<(), String> {
         Ok(())
     }
 
@@ -759,36 +465,24 @@ impl SwDirModel {
 mod tests {
     use super::*;
 
-    /// Runs a test body against both record regimes (mask at 64
-    /// nodes, record vectors at 256). NodeIds must stay < 64.
-    fn both_regimes(f: impl Fn(&mut SwDirectory)) {
-        for nodes in [64usize, 256] {
+    /// Record widths a test should cover: one word (16, 64), a
+    /// barely-used second word (65), and the 255..=257 and 1023/1024
+    /// seams.
+    const NODE_COUNTS: [usize; 8] = [16, 64, 65, 255, 256, 257, 1023, 1024];
+
+    /// Runs a test body at every record width. NodeIds must stay < 16.
+    fn at_every_width(f: impl Fn(&mut SwDirectory)) {
+        for nodes in NODE_COUNTS {
             let mut d = SwDirectory::for_nodes(nodes);
             f(&mut d);
         }
     }
 
     #[test]
-    fn regime_selection_holds_at_the_scale_boundaries() {
-        // 64 nodes is the last mask-regime machine; 65 tips into
-        // record vectors, and the word count tracks ceil(nodes / 64)
-        // exactly across the 255..=1024 ladder.
-        assert!(SwDirectory::for_nodes(64).mask_regime);
-        for (nodes, want) in [
-            (65, 2),
-            (255, 4),
-            (256, 4),
-            (257, 5),
-            (1023, 16),
-            (1024, 16),
-        ] {
-            let d = SwDirectory::for_nodes(nodes);
-            assert!(!d.mask_regime, "{nodes}");
-            assert_eq!(d.words, want, "{nodes}");
-        }
+    fn last_node_round_trips_at_every_width() {
         // The last addressable node on odd-sized machines lives in a
         // partially-used top word and must round-trip.
-        for nodes in [255usize, 257, 1023] {
+        for nodes in NODE_COUNTS {
             let mut d = SwDirectory::for_nodes(nodes);
             let last = NodeId((nodes - 1) as u16);
             assert!(d.record_reader(7, last), "{nodes}");
@@ -803,7 +497,7 @@ mod tests {
 
     #[test]
     fn record_and_read_back() {
-        both_regimes(|d| {
+        at_every_width(|d| {
             assert!(d.record_reader(1, NodeId(5)));
             assert!(!d.record_reader(1, NodeId(5)));
             assert!(d.record_reader(1, NodeId(6)));
@@ -817,7 +511,7 @@ mod tests {
 
     #[test]
     fn drain_frees_record() {
-        both_regimes(|d| {
+        at_every_width(|d| {
             d.record_reader(1, NodeId(5));
             d.record_reader(1, NodeId(6));
             let mut readers = Vec::new();
@@ -833,7 +527,7 @@ mod tests {
 
     #[test]
     fn free_list_recycles_records() {
-        both_regimes(|d| {
+        at_every_width(|d| {
             d.record_reader(1, NodeId(5));
             let mut scratch = Vec::new();
             d.drain_readers_into(1, &mut scratch);
@@ -848,7 +542,7 @@ mod tests {
 
     #[test]
     fn batch_record_counts_new_only() {
-        both_regimes(|d| {
+        at_every_width(|d| {
             d.record_reader(1, NodeId(2));
             let added = d.record_readers(1, &[NodeId(2), NodeId(3), NodeId(4)]);
             assert_eq!(added, 2);
@@ -857,48 +551,30 @@ mod tests {
     }
 
     #[test]
-    fn mask_record_bills_like_the_node_loop() {
-        // The one-word drain path must leave stats indistinguishable
-        // from the per-node loop it replaces.
-        let mut a = SwDirectory::for_nodes(64);
-        let mut b = SwDirectory::for_nodes(64);
-        a.record_reader(1, NodeId(3));
-        b.record_reader(1, NodeId(3));
-        let nodes = [NodeId(3), NodeId(5), NodeId(60)];
-        let mask = nodes.iter().fold(0u64, |m, n| m | 1 << n.0);
-        assert_eq!(a.record_reader_mask(1, mask), b.record_readers(1, &nodes));
-        assert_eq!(a.stats(), b.stats());
-        assert_eq!(a.readers_vec(1), b.readers_vec(1));
-        // Empty masks are free: no lookup, no allocation.
-        let before = a.stats();
-        assert_eq!(a.record_reader_mask(2, 0), 0);
-        assert_eq!(a.stats(), before);
-        assert!(!a.contains(2));
-    }
-
-    #[test]
     fn word_record_bills_like_the_node_loop() {
-        // The record-regime bulk path (presence words from the slab
-        // hardware table) must leave stats and contents identical to
-        // the per-node loop it replaces, across word boundaries.
-        for nodes in [256usize, 1024] {
+        // The bulk path (presence words from the hardware table) must
+        // leave stats and contents identical to the per-node loop it
+        // replaces, across word boundaries.
+        for nodes in NODE_COUNTS {
             let mut a = SwDirectory::for_nodes(nodes);
             let mut b = SwDirectory::for_nodes(nodes);
-            a.record_reader(1, NodeId(70));
-            b.record_reader(1, NodeId(70));
-            let readers = [NodeId(3), NodeId(63), NodeId(64), NodeId(70), NodeId(200)];
+            a.record_reader(1, NodeId(3));
+            b.record_reader(1, NodeId(3));
+            let readers: Vec<NodeId> = [3u16, 5, 63, 64, 70, 200, 1023]
+                .into_iter()
+                .filter(|&n| usize::from(n) < nodes)
+                .map(NodeId)
+                .collect();
             let mut words = vec![0u64; nodes.div_ceil(64)];
-            for n in readers {
+            for n in &readers {
                 words[usize::from(n.0 >> 6)] |= 1 << (n.0 & 63);
             }
             assert_eq!(
                 a.record_reader_words(1, &words),
                 b.record_readers(1, &readers)
             );
-            assert_eq!(a.stats(), b.stats());
-            let mut sorted_b = b.readers_vec(1);
-            sorted_b.sort_unstable();
-            assert_eq!(a.readers_vec(1), sorted_b);
+            assert_eq!(a.stats(), b.stats(), "{nodes}");
+            assert_eq!(a.readers_vec(1), b.readers_vec(1), "{nodes}");
             // All-zero word slices are free: no lookup, no allocation.
             let before = a.stats();
             assert_eq!(a.record_reader_words(2, &vec![0u64; words.len()]), 0);
@@ -908,40 +584,44 @@ mod tests {
     }
 
     #[test]
-    fn record_regime_crosses_word_boundaries() {
-        let mut d = SwDirectory::for_nodes(1024);
-        let ids = [0u16, 63, 64, 65, 511, 512, 1023];
-        for n in ids {
-            assert!(d.record_reader(9, NodeId(n)));
-            assert!(!d.record_reader(9, NodeId(n)));
+    fn word_seams_round_trip() {
+        for nodes in NODE_COUNTS {
+            let mut d = SwDirectory::for_nodes(nodes);
+            let ids: Vec<u16> = [0u16, 15, 63, 64, 65, 511, 512, 1023]
+                .into_iter()
+                .filter(|&n| usize::from(n) < nodes)
+                .collect();
+            for &n in &ids {
+                assert!(d.record_reader(9, NodeId(n)));
+                assert!(!d.record_reader(9, NodeId(n)));
+            }
+            assert_eq!(d.reader_count(9), ids.len());
+            assert_eq!(
+                d.readers_vec(9),
+                ids.iter().map(|&n| NodeId(n)).collect::<Vec<_>>()
+            );
+            let last = *ids.last().unwrap();
+            assert!(d.contains_reader(9, NodeId(last)));
+            assert!(!d.contains_reader(9, NodeId(1)));
+            assert!(d.remove_reader(9, NodeId(last)));
+            let mut out = Vec::new();
+            assert_eq!(d.drain_readers_into(9, &mut out), ids.len() - 1);
+            assert_eq!(d.live_entries(), 0);
+            assert!(d.structural_invariants(9).is_ok());
         }
-        assert_eq!(d.reader_count(9), ids.len());
-        assert_eq!(
-            d.readers_vec(9),
-            ids.iter().map(|&n| NodeId(n)).collect::<Vec<_>>()
-        );
-        assert!(d.contains_reader(9, NodeId(1023)));
-        assert!(!d.contains_reader(9, NodeId(1022)));
-        assert!(d.remove_reader(9, NodeId(64)));
-        assert!(d.contains_reader(9, NodeId(63)) && d.contains_reader(9, NodeId(65)));
-        let mut out = Vec::new();
-        assert_eq!(d.drain_readers_into(9, &mut out), ids.len() - 1);
-        assert_eq!(d.live_entries(), 0);
-        assert!(d.structural_invariants(9).is_ok());
     }
 
     #[test]
-    fn clear_readers_keeps_recycled_capacity() {
-        both_regimes(|d| {
+    fn clear_readers_frees_the_record() {
+        at_every_width(|d| {
             for n in 0..8 {
                 d.record_reader(1, NodeId(n));
             }
             assert_eq!(d.clear_readers(1), 8);
             assert_eq!(d.live_entries(), 0);
             assert_eq!(d.stats().frees, 1);
-            // The recycled record still owns its zeroed word storage,
-            // so re-recording allocates nothing new (trivially true
-            // under the mask regime).
+            // The slot keeps its zeroed words, so re-recording is a
+            // fresh allocation to the cost model only.
             d.record_reader(2, NodeId(0));
             assert_eq!(d.readers_vec(2), vec![NodeId(0)]);
             assert_eq!(d.clear_readers(3), 0);
@@ -950,7 +630,7 @@ mod tests {
 
     #[test]
     fn remove_reader_frees_empty_record() {
-        both_regimes(|d| {
+        at_every_width(|d| {
             d.record_reader(1, NodeId(2));
             assert!(d.remove_reader(1, NodeId(2)));
             assert_eq!(d.live_entries(), 0);
@@ -961,7 +641,7 @@ mod tests {
 
     #[test]
     fn peak_entries_tracks_high_water() {
-        both_regimes(|d| {
+        at_every_width(|d| {
             let mut scratch = Vec::new();
             for b in 0..10 {
                 d.record_reader(b, NodeId(0));
@@ -976,7 +656,7 @@ mod tests {
 
     #[test]
     fn contains_does_not_bill_lookup() {
-        both_regimes(|d| {
+        at_every_width(|d| {
             d.record_reader(1, NodeId(0));
             let before = d.stats().lookups;
             assert!(d.contains(1));
@@ -989,14 +669,15 @@ mod tests {
 
     #[test]
     fn slots_are_identity_hashed_and_growth_never_rehashes() {
-        let mut d = SwDirectory::for_nodes(64);
-        d.record_reader(3, NodeId(1));
-        // Growing the table (touching a much larger id) must leave the
-        // earlier record exactly where it was.
-        d.record_reader(4000, NodeId(2));
-        assert_eq!(d.reader_mask(3), Some(1 << 1));
-        assert_eq!(d.readers_vec(4000), vec![NodeId(2)]);
-        assert_eq!(d.live_entries(), 2);
+        at_every_width(|d| {
+            d.record_reader(3, NodeId(1));
+            // Growing the table (touching a much larger id) must leave
+            // the earlier record exactly where it was.
+            d.record_reader(4000, NodeId(2));
+            assert_eq!(d.readers_vec(3), vec![NodeId(1)]);
+            assert_eq!(d.readers_vec(4000), vec![NodeId(2)]);
+            assert_eq!(d.live_entries(), 2);
+        });
     }
 
     #[test]

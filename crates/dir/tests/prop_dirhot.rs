@@ -1,11 +1,10 @@
 //! Differential randomized tests for the hot-path directory storage:
-//! the production structures (bitmask / fixed-width [`HwDirTable`]
-//! rows, id-keyed open-addressed [`SwDirectory`]) must behave
-//! identically to the fat reference models ([`HwDirEntry`],
-//! [`SwDirModel`]) under long random operation tapes, across every
-//! pointer-capacity × node-count regime pairing. Companion to
-//! `prop_model.rs`, which checks the reference models themselves
-//! against pure set semantics.
+//! the production structures (presence-word [`HwDirTable`] rows,
+//! id-keyed open-addressed [`SwDirectory`]) must behave identically to
+//! the fat reference models ([`HwDirEntry`], [`SwDirModel`]) under long
+//! random operation tapes, across every pointer-capacity × row-width
+//! pairing. Companion to `prop_model.rs`, which checks the reference
+//! models themselves against pure set semantics.
 //!
 //! Cases are generated with the deterministic `SplitMix64` generator,
 //! so every failure is reproducible from the printed case number.
@@ -15,11 +14,9 @@ use limitless_sim::{BlockAddr, NodeId, SplitMix64};
 
 const CASES: u64 = 48;
 
-/// Node counts spanning all three hardware regimes (Mask at <= 64;
-/// Fixed8 above 64 with capacity <= 8; Slab above both) and both
-/// software regimes (mask at <= 64 nodes, records beyond), plus the
-/// 255/256/257 and 1023/1024 boundaries where the presence-word count
-/// steps and the scale-out machines actually run.
+/// Node counts spanning one-word rows (16, 64), a barely-used second
+/// word (68), and the 255/256/257 and 1023/1024 boundaries where the
+/// presence-word count steps and the scale-out machines actually run.
 const NODE_COUNTS: [usize; 8] = [16, 64, 68, 255, 256, 257, 1023, 1024];
 
 fn sorted(mut v: Vec<NodeId>) -> Vec<NodeId> {
@@ -32,10 +29,11 @@ fn hw_rows_match_fat_entry_under_random_tapes() {
     let mut rng = SplitMix64::new(0x7001);
     for &nodes in &NODE_COUNTS {
         for capacity in [0usize, 1, 2, 5, 8, 9, 13] {
-            // Node ids drawn slightly past 64 to force Fixed8 alias
-            // collisions (`node & 63`) when the machine allows it; on
-            // the big boundary machines the full range is used instead
-            // so the slab's upper presence words see traffic.
+            // Node ids drawn slightly past 64 to force low-bit alias
+            // pairs (`node & 63`) across the first word seam when the
+            // machine allows it; on the big boundary machines the full
+            // range is used instead so the upper presence words see
+            // traffic.
             let span = if nodes > 256 { nodes } else { nodes.min(80) } as u64;
             for case in 0..CASES {
                 let mut t = HwDirTable::with_nodes(capacity, nodes);
@@ -163,49 +161,60 @@ fn sw_directory_matches_model_under_random_tapes() {
     }
 }
 
-/// The mask-regime bulk drain (`take_ptr_mask` → `record_reader_mask`)
-/// must be observationally identical — contents *and* stat billing —
-/// to feeding the same pointers through the per-node loop.
+/// The overflow handler's bulk transfer (`ptr_words` →
+/// `record_reader_words`) must be observationally identical — contents
+/// *and* stat billing — to feeding the same pointers through the
+/// per-node loop, at every row width.
 #[test]
-fn mask_bulk_transfer_matches_per_node_loop() {
+fn word_bulk_transfer_matches_per_node_loop() {
     let mut rng = SplitMix64::new(0x7003);
-    for case in 0..CASES {
-        let mut fast = SwDirectory::for_nodes(64);
-        let mut slow = SwDirectory::for_nodes(64);
-        let mut m = SwDirModel::new();
-        for round in 0..8 {
-            let id = rng.next_below(3) as u32;
-            let block = BlockAddr(u64::from(id));
-            let mask = rng.next_u64() & rng.next_u64(); // sparse-ish
-            let stored = fast.record_reader_mask(id, mask);
-            let mut stored_slow = 0usize;
-            let mut stored_model = 0usize;
-            for bit in 0..64u16 {
-                if mask & (1u64 << bit) != 0 {
-                    stored_slow += usize::from(slow.record_reader(id, NodeId(bit)));
-                    stored_model += usize::from(m.record_reader(block, NodeId(bit)));
+    for &nodes in &NODE_COUNTS {
+        let width = nodes.div_ceil(64);
+        for case in 0..CASES {
+            let mut fast = SwDirectory::for_nodes(nodes);
+            let mut slow = SwDirectory::for_nodes(nodes);
+            let mut m = SwDirModel::new();
+            let tag = format!("nodes={nodes} case={case}");
+            for round in 0..8 {
+                let id = rng.next_below(3) as u32;
+                let block = BlockAddr(u64::from(id));
+                // Sparse-ish words, masked to the machine's node ids.
+                let mut words: Vec<u64> = (0..width)
+                    .map(|_| rng.next_u64() & rng.next_u64())
+                    .collect();
+                if nodes % 64 != 0 {
+                    words[width - 1] &= (1u64 << (nodes % 64)) - 1;
                 }
-            }
-            assert_eq!(stored, stored_slow, "case {case} round {round}");
-            assert_eq!(stored, stored_model, "case {case} round {round}");
-            assert_eq!(
-                fast.readers_vec(id),
-                sorted(slow.readers_vec(id)),
-                "case {case} round {round}"
-            );
-            assert_eq!(fast.stats(), slow.stats(), "case {case} round {round}");
-            assert_eq!(fast.stats(), m.stats(), "case {case} round {round}");
-            // Occasionally drain so empty→nonempty alloc billing gets
-            // re-exercised on recycled records.
-            if rng.next_below(3) == 0 {
-                let mut a = Vec::new();
-                let mut b = Vec::new();
+                let stored = fast.record_reader_words(id, &words);
+                let mut stored_slow = 0usize;
+                let mut stored_model = 0usize;
+                for node in 0..nodes as u16 {
+                    if words[usize::from(node >> 6)] & (1u64 << (node & 63)) != 0 {
+                        stored_slow += usize::from(slow.record_reader(id, NodeId(node)));
+                        stored_model += usize::from(m.record_reader(block, NodeId(node)));
+                    }
+                }
+                assert_eq!(stored, stored_slow, "{tag} round {round}");
+                assert_eq!(stored, stored_model, "{tag} round {round}");
                 assert_eq!(
-                    fast.drain_readers_into(id, &mut a),
-                    slow.drain_readers_into(id, &mut b)
+                    fast.readers_vec(id),
+                    slow.readers_vec(id),
+                    "{tag} round {round}"
                 );
-                m.drain_readers(block);
-                assert_eq!(sorted(a), sorted(b), "case {case} round {round}");
+                assert_eq!(fast.stats(), slow.stats(), "{tag} round {round}");
+                assert_eq!(fast.stats(), m.stats(), "{tag} round {round}");
+                // Occasionally drain so empty→nonempty alloc billing
+                // gets re-exercised on emptied records.
+                if rng.next_below(3) == 0 {
+                    let mut a = Vec::new();
+                    let mut b = Vec::new();
+                    assert_eq!(
+                        fast.drain_readers_into(id, &mut a),
+                        slow.drain_readers_into(id, &mut b)
+                    );
+                    m.drain_readers(block);
+                    assert_eq!(a, b, "{tag} round {round}");
+                }
             }
         }
     }

@@ -106,13 +106,6 @@ pub struct MachineConfig {
     pub check: CheckLevel,
     /// Execution engine: serial reference or sharded parallel lanes.
     pub engine: EngineMode,
-    /// Sharded engine: minimum floor advance (simulated cycles)
-    /// between publish/flush boundaries while a lane is making
-    /// progress. `0` publishes every window; larger values coalesce
-    /// boundary work at the cost of coarser cross-lane visibility.
-    /// Blocked lanes always publish, so any value is deadlock-free —
-    /// and results are bit-identical regardless.
-    pub shard_publish_cycles: u64,
     /// Sharded engine: pin worker threads to distinct cores
     /// (`sched_setaffinity` on Linux, no-op elsewhere) so each lane's
     /// dense node columns stay cache-resident.
@@ -243,7 +236,6 @@ impl Default for MachineConfigBuilder {
                 track_worker_sets: false,
                 check: CheckLevel::Off,
                 engine: EngineMode::Serial,
-                shard_publish_cycles: 0,
                 pin_lanes: true,
                 event_horizon: 0, // derived at build time if left 0
             },
@@ -341,13 +333,6 @@ impl MachineConfigBuilder {
     /// Selects the execution engine directly.
     pub fn engine_mode(mut self, m: EngineMode) -> Self {
         self.cfg.engine = m;
-        self
-    }
-
-    /// Sets the minimum floor advance between sharded publish
-    /// boundaries (see [`MachineConfig::shard_publish_cycles`]).
-    pub fn shard_publish_cycles(mut self, c: u64) -> Self {
-        self.cfg.shard_publish_cycles = c;
         self
     }
 

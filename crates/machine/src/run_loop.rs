@@ -167,7 +167,7 @@ fn lookahead_matrix(m: &Machine, lanes: usize, bounds: &[usize]) -> Vec<u64> {
 /// window end was computed from the peers' floors: an event flushed
 /// before a peer published floor `F` is visible to whoever read
 /// `floor >= F` and then took this lock.
-fn drain_inbox(s: &mut Shard, run: &mut LaneRun, inbox: &Inbox, check: bool) -> u64 {
+fn drain_inbox(s: &mut Shard, run: &mut LaneRun, inbox: &Inbox) -> u64 {
     {
         let mut inner = inbox.inner.lock().expect("inbox poisoned");
         if inner.events.is_empty() && inner.writes.is_empty() {
@@ -179,18 +179,15 @@ fn drain_inbox(s: &mut Shard, run: &mut LaneRun, inbox: &Inbox, check: bool) -> 
     let drained = run.evs.len() as u64;
     for (at, key, ev) in run.evs.drain(..) {
         // A drained event below the lane's published floor means some
-        // peer (or the matrix) broke the lookahead contract; with the
-        // sanitizer on this must fail loudly even in release builds.
-        if at.as_u64() < run.floor {
-            let msg = format!(
-                "cross-lane event at {at} arrived under lane {}'s published floor {}",
-                s.lane, run.floor
-            );
-            if check {
-                panic!("sanitizer: {msg}");
-            }
-            debug_assert!(false, "{msg}");
-        }
+        // peer (or the matrix) broke the lookahead contract: the event
+        // order would silently diverge from serial, so this always
+        // fails loudly, whatever the check level.
+        assert!(
+            at.as_u64() >= run.floor,
+            "cross-lane event at {at} arrived under lane {}'s published floor {}",
+            s.lane,
+            run.floor
+        );
         s.post_keyed(at, key, ev);
     }
     for batch in run.wbatches.drain(..) {
@@ -232,16 +229,14 @@ fn lane_round(
     sync: &LaneSync,
     inboxes: &[Inbox],
     max_events: u64,
-    publish_stride: u64,
 ) -> bool {
     let me = s.lane;
-    let check = cx.cfg.check.enabled();
     // 1. Window end from the peers' floors, lifted by any proven
     //    global floor. Reading floors *before* draining closes the
     //    race with peers flushing as they publish.
     let end = sync.jump_end(me, run.g);
     // 2. Drain the inbox.
-    run.uncovered += drain_inbox(s, run, &inboxes[me], check);
+    run.uncovered += drain_inbox(s, run, &inboxes[me]);
     // 3. Execute everything strictly below the window end.
     let advanced = if s.next_time().is_some_and(|t| t.as_u64() < end) {
         s.t_end = Cycle(end);
@@ -251,13 +246,10 @@ fn lane_round(
         false
     };
     // 4 + 5. Flush and publish (coupled: a published floor promises
-    //    that every event it clears has been flushed). A positive
-    //    publish stride coalesces boundary work while the lane is
-    //    making progress; a blocked lane always publishes so the
-    //    global ratchet keeps turning.
+    //    that every event it clears has been flushed).
     let t_next = s.next_time().map_or(u64::MAX, |t| t.as_u64());
     let floor = t_next.min(end);
-    if !advanced || floor >= run.floor.saturating_add(publish_stride) {
+    if !advanced || floor >= run.floor {
         flush_lane(s, sync, inboxes);
         sync.publish(me, floor, t_next, run.uncovered, s.executed);
         run.floor = floor;
@@ -282,17 +274,13 @@ fn lane_round(
         return true;
     }
     if q.global_min > run.g {
-        // A proven global event floor: jump this lane's window across
-        // the idle stretch and re-publish so peers can follow.
+        // A proven global event floor: the next round jumps this
+        // lane's window across the idle stretch. It must recompute the
+        // window end there, *before* its drain — publishing a floor
+        // from fresh peer floors here, after this round's drain, could
+        // leave an event a peer flushed in between below that floor.
         run.g = q.global_min;
-        let end = sync.jump_end(me, run.g);
-        let floor = t_next.min(end);
-        if floor > run.floor {
-            sync.publish(me, floor, t_next, run.uncovered, s.executed);
-            run.floor = floor;
-            run.uncovered = 0;
-        }
-        return t_next < end;
+        return true;
     }
     false
 }
@@ -308,7 +296,6 @@ fn lane_group_loop(
     sync: &LaneSync,
     inboxes: &[Inbox],
     max_events: u64,
-    publish_stride: u64,
     spin_budget: u32,
 ) {
     let lanes = sync.lanes();
@@ -322,7 +309,7 @@ fn lane_group_loop(
                 continue;
             }
             live = true;
-            advanced |= lane_round(s, run, cx, sync, inboxes, max_events, publish_stride);
+            advanced |= lane_round(s, run, cx, sync, inboxes, max_events);
         }
         if !live || sync.is_poisoned() {
             return;
@@ -502,7 +489,6 @@ impl Machine {
         };
         let sync = LaneSync::new(lanes, dist);
         let inboxes: Vec<Inbox> = (0..lanes).map(|_| Inbox::default()).collect();
-        let publish_stride = self.cfg.shard_publish_cycles;
 
         // Clamp worker *threads* (never the lane partition, which
         // fixes the event order) to the host's parallelism.
@@ -532,15 +518,7 @@ impl Machine {
                         pin_current_thread(t);
                     }
                     let r = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                        lane_group_loop(
-                            group,
-                            cx,
-                            sync,
-                            inboxes,
-                            max_events,
-                            publish_stride,
-                            spin_budget,
-                        );
+                        lane_group_loop(group, cx, sync, inboxes, max_events, spin_budget);
                     }));
                     if let Err(p) = r {
                         sync.poison();

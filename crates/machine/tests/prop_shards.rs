@@ -167,13 +167,12 @@ fn prime_node_counts_are_bit_identical() {
 }
 
 /// The scale-out boundary node counts: 255 and 257 straddle a
-/// presence-word seam in the slab directory (four words either side of
+/// presence-word seam in the directory rows (four words either side of
 /// 256), 1023 and 1024 are the paper-fidelity rung where `u16` node
 /// ids, the lane partitioner and the lookahead matrix meet their
-/// largest machines. The big rungs run the 16-pointer protocol so the
-/// word-parallel slab hardware regime (capacity > 8) carries the
-/// directory traffic end to end; programs are shortened to keep the
-/// 1024-node machines test-sized.
+/// largest machines. The big rungs run the 16-pointer protocol so
+/// wide hardware pointer sets carry the directory traffic end to end;
+/// programs are shortened to keep the 1024-node machines test-sized.
 #[test]
 fn scale_boundary_node_counts_are_bit_identical() {
     let mut case_rng = SplitMix64::new(0x400);
