@@ -75,6 +75,7 @@ use limitless_apps::{registry, App, Scale};
 use limitless_bench::{
     experiments, fuzz, gate, micro, runner, serve, ExperimentSpec, Harness, Runner, SweepRecord,
 };
+use limitless_machine::MachineConfig;
 use limitless_stats::Table;
 
 /// Resolves every `--app` spec through the registry, exiting with a
@@ -160,10 +161,17 @@ fn main() {
                 });
             }
             "--nodes" => {
-                nodes_override = it.next().and_then(|n| n.parse().ok()).or_else(|| {
+                let n = it.next().and_then(|n| n.parse().ok()).unwrap_or_else(|| {
                     eprintln!("--nodes needs a number");
                     std::process::exit(2);
                 });
+                // Reject machine sizes the builder would panic on
+                // mid-run, before any cell starts.
+                if let Err(e) = MachineConfig::builder().nodes(n).try_build() {
+                    eprintln!("--nodes {n}: {e}");
+                    std::process::exit(2);
+                }
+                nodes_override = Some(n);
             }
             "--shards" => {
                 shards = it

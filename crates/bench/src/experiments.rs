@@ -328,25 +328,6 @@ pub fn ablation_handlers(h: Harness) -> Table {
     t
 }
 
-/// Figure 6 rendered as the paper draws it: a log-scale histogram.
-pub fn fig6_chart(h: Harness) -> String {
-    let t = fig6(h);
-    // Re-derive pairs from the table rows (size, count columns).
-    let rendered = t.render();
-    let pairs: Vec<(u64, u64)> = rendered
-        .lines()
-        .skip(2)
-        .filter_map(|l| {
-            let mut it = l.split_whitespace();
-            Some((it.next()?.parse().ok()?, it.next()?.parse().ok()?))
-        })
-        .collect();
-    format!(
-        "{rendered}\nlog-scale histogram (cf. the paper's Figure 6):\n{}",
-        limitless_stats::log_histogram(&pairs, 48)
-    )
-}
-
 /// **Ablation** — network-latency sensitivity: as the mesh slows down,
 /// remote misses dominate and the software-extension penalty shrinks
 /// relative to full-map (the "cost and mapping of DRAM become more

@@ -58,6 +58,22 @@ fn malformed_invocations_exit_2() {
     let out = bin().args(["sweep", "--min-of", "zero"]).output().unwrap();
     assert_code(&out, 2);
 
+    // A machine size the configuration builder rejects, caught at
+    // parse time instead of panicking inside the first cell.
+    for cmd in [
+        &["fig4", "--quick", "--nodes", "0"][..],
+        &["check", "--quick", "--nodes", "0"],
+        &["sweep", "--quick", "--nodes", "0"],
+        &["fuzz", "--specs", "1", "--quick", "--nodes", "0"],
+    ] {
+        let out = bin().args(cmd).output().unwrap();
+        assert_code(&out, 2);
+        assert!(
+            String::from_utf8_lossy(&out.stderr).contains("at least one node"),
+            "the error must name the bad machine size"
+        );
+    }
+
     // An --app spec the registry rejects, for both sweep and check.
     for cmd in ["sweep", "check"] {
         let out = bin().args([cmd, "--app", "nosuchapp"]).output().unwrap();

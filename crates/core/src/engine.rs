@@ -9,15 +9,14 @@
 //! any software handler that ran. The machine layer turns outcomes
 //! into scheduled events and processor occupancy.
 
-use limitless_dir::{HwState, PtrStoreOutcome, SwDirectory};
-use limitless_sim::{BlockAddr, MessagePool, NodeId};
+use limitless_dir::{HwDirTable, HwEntryRef, HwState, PtrStoreOutcome, SwDirectory};
+use limitless_sim::{BlockAddr, BlockInterner, MessagePool, NodeId};
 
 use crate::check::{CheckLevel, EventHistory, HistoryRecord};
 use crate::cost::{CostModel, HandlerImpl, HandlerKind, TrapBill};
 use crate::iface::{BroadcastHandler, ExtensionHandler, HandlerCtx, LimitlessHandler, QueuedSend};
 use crate::msg::ProtoMsg;
 use crate::spec::{AckMode, ProtocolSpec, SwMode};
-use crate::table::DirectoryTable;
 
 /// Fixed hardware latencies of the CMMU datapath.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -300,10 +299,14 @@ pub struct DirEngine {
     spec: ProtocolSpec,
     costs: CostModel,
     timing: HwTiming,
+    /// The machine-wide interner segment of this home: block address
+    /// to dense row id, bit-identical between the serial and sharded
+    /// engines.
+    interner: BlockInterner,
     /// All per-block state — hardware entry, zero-pointer
     /// remote-access bit, upgrade/owner-fetch/software-transaction
-    /// bookkeeping — in one interned record per block.
-    table: DirectoryTable,
+    /// bookkeeping — in one row per interned block.
+    dir: HwDirTable,
     sw: SwDirectory,
     handler: Box<dyn ExtensionHandler>,
     stats: EngineStats,
@@ -336,7 +339,8 @@ impl DirEngine {
             spec,
             costs: CostModel::new(imp),
             timing: HwTiming::default(),
-            table: DirectoryTable::new(spec.capacity(nodes), u32::from(home.0), nodes as u32),
+            interner: BlockInterner::new(u32::from(home.0), nodes as u32),
+            dir: HwDirTable::with_nodes(spec.capacity(nodes), nodes),
             sw: SwDirectory::for_nodes(nodes),
             handler: Box::new(LimitlessHandler),
             stats: EngineStats::default(),
@@ -360,19 +364,20 @@ impl DirEngine {
         self.handler = h;
     }
 
-    /// Reinitializes the engine in place for a fresh run: the
-    /// directory table (interner + hardware columns), the software
-    /// extension, the statistics and the diagnostic history all return
-    /// to their just-constructed state, while the column vectors, the
-    /// open-addressed extension slots and the recycled send/spill
-    /// pools keep their capacity. A reset engine replaying the same
-    /// event sequence is bit-identical to a freshly constructed one —
-    /// including the interner fingerprint — which the machine-level
-    /// reset property test asserts. A custom [`ExtensionHandler`]
-    /// installed via [`DirEngine::set_handler`] is replaced by the
-    /// spec's default handler, exactly as construction would.
+    /// Reinitializes the engine in place for a fresh run: the interner,
+    /// the directory rows, the software extension, the statistics and
+    /// the diagnostic history all return to their just-constructed
+    /// state, while the column vectors, the open-addressed extension
+    /// slots and the recycled send/spill pools keep their capacity. A
+    /// reset engine replaying the same event sequence is bit-identical
+    /// to a freshly constructed one — including the interner
+    /// fingerprint — which the machine-level reset property test
+    /// asserts. A custom [`ExtensionHandler`] installed via
+    /// [`DirEngine::set_handler`] is replaced by the spec's default
+    /// handler, exactly as construction would.
     pub fn reset(&mut self) {
-        self.table.clear();
+        self.interner.clear();
+        self.dir.clear();
         self.sw.clear();
         self.handler = match self.spec.sw {
             SwMode::NoBroadcast => Box::new(LimitlessHandler),
@@ -411,7 +416,7 @@ impl DirEngine {
     /// sharded runs must agree exactly, which the cross-engine
     /// property tests assert.
     pub fn interner_fingerprint(&self) -> u64 {
-        self.table.interner().fingerprint()
+        self.interner.fingerprint()
     }
 
     /// Zero-pointer protocol: whether `block` still qualifies for the
@@ -421,7 +426,12 @@ impl DirEngine {
     pub fn local_fast_path(&self, block: BlockAddr) -> bool {
         self.spec.hw_ptrs == 0
             && !self.spec.full_map
-            && !self.table.get(block).is_some_and(|st| st.remote_accessed())
+            && !self.row_of(block).is_some_and(|st| st.remote_accessed())
+    }
+
+    /// The directory row of `block`, if it has ever been touched.
+    fn row_of(&self, block: BlockAddr) -> Option<HwEntryRef<'_>> {
+        self.interner.id_of(block).map(|id| self.dir.row(id))
     }
 
     /// Whether every event on this protocol traps to software (the
@@ -433,13 +443,13 @@ impl DirEngine {
     /// The current sharer count visible to the directory (hardware +
     /// software + local bit), for tests and instrumentation.
     pub fn sharer_count(&self, block: BlockAddr) -> usize {
-        let Some(id) = self.table.id_of(block) else {
+        let Some(id) = self.interner.id_of(block) else {
             return 0;
         };
-        let st = self.table.state(id);
-        let mut set: Vec<NodeId> = st.hw.ptrs_vec();
+        let st = self.dir.row(id);
+        let mut set: Vec<NodeId> = st.ptrs_vec();
         self.sw.extend_readers(id, &mut set);
-        if st.hw.local_bit() {
+        if st.local_bit() {
             set.push(self.home);
         }
         set.sort_unstable();
@@ -451,8 +461,8 @@ impl DirEngine {
     /// happen.
     ///
     /// The block is interned exactly once here — one hash probe —
-    /// and every helper then reaches the block's
-    /// [`crate::table::BlockStateMut`] row by dense index.
+    /// and every helper then reaches the block's [`HwDirTable`] row by
+    /// dense index.
     ///
     /// # Panics
     ///
@@ -474,7 +484,13 @@ impl DirEngine {
     /// allocation.
     pub fn handle_into(&mut self, block: BlockAddr, event: DirEvent, out: &mut Outcome) {
         out.reset();
-        let id = self.table.intern(block);
+        // The block's dense per-home id is also its directory row,
+        // pushed on first touch.
+        let (id, new) = self.interner.intern(block);
+        if new {
+            let row = self.dir.push_row();
+            debug_assert_eq!(row, id);
+        }
         self.dispatch(block, id, event, out);
         if self.check.enabled() {
             self.record_and_validate(block, id, event, out);
@@ -514,26 +530,26 @@ impl DirEngine {
         let home = self.home;
         let spec = self.spec;
         let timing = self.timing;
-        let mut st = self.table.state_mut(id);
+        let mut st = self.dir.row_mut(id);
         let first_remote = all_sw && from != home && !st.remote_accessed();
         if all_sw {
             st.set_remote_accessed();
         }
 
-        match st.hw.state() {
+        match st.state() {
             HwState::Uncached | HwState::ReadOnly => {
-                st.hw.set_state(HwState::ReadOnly);
+                st.set_state(HwState::ReadOnly);
                 let data_off = timing.dir_cycles + timing.dram_cycles;
                 if from == home && spec.local_bit {
                     // The dedicated one-bit pointer: the home's own
                     // copy never consumes (or overflows) the pointer
                     // array.
-                    st.hw.set_local_bit(true);
+                    st.set_local_bit(true);
                     out.hw_send(from, ProtoMsg::ReadData, data_off);
                     out.hw_cycles = timing.dir_cycles;
                     return;
                 }
-                match st.hw.record_reader(from) {
+                match st.record_reader(from) {
                     PtrStoreOutcome::Stored if !all_sw => {
                         out.hw_send(from, ProtoMsg::ReadData, data_off);
                         out.hw_cycles = timing.dir_cycles;
@@ -544,7 +560,7 @@ impl DirEngine {
                         if spec.sw == SwMode::Broadcast {
                             // Dir₁SW never traps on reads: hardware
                             // just sets the broadcast bit.
-                            st.hw.set_overflowed(true);
+                            st.set_overflowed(true);
                             out.hw_send(from, ProtoMsg::ReadData, data_off);
                             out.hw_cycles = timing.dir_cycles;
                         } else {
@@ -561,7 +577,7 @@ impl DirEngine {
                 }
             }
             HwState::ReadWrite => {
-                let owner = st.hw.owner().expect("ReadWrite entry without owner");
+                let owner = st.owner().expect("ReadWrite entry without owner");
                 if owner == from {
                     // Under FIFO delivery the owner's writeback always
                     // precedes its next request, so this indicates the
@@ -573,8 +589,7 @@ impl DirEngine {
                     );
                     out.hw_cycles = timing.dir_cycles;
                 } else {
-                    st.hw
-                        .begin_transaction(HwState::ReadTransaction, 1, Some(from), false);
+                    st.begin_transaction(HwState::ReadTransaction, 1, Some(from), false);
                     st.set_owner_fetch(Some(owner));
                     out.hw_send(owner, ProtoMsg::Downgrade, timing.dir_cycles);
                     out.hw_cycles = timing.dir_cycles;
@@ -591,14 +606,14 @@ impl DirEngine {
 
     fn run_read_overflow(&mut self, block: BlockAddr, id: u32, from: NodeId, out: &mut Outcome) {
         let buf = self.send_pool.get();
-        let st = self.table.state_mut(id);
+        let st = self.dir.row_mut(id);
         let mut ctx = HandlerCtx::with_send_buf(
             self.home,
             self.nodes,
             self.spec,
             block,
             id,
-            st.hw,
+            st,
             &mut self.sw,
             buf,
         );
@@ -627,15 +642,15 @@ impl DirEngine {
         let all_sw = self.all_software();
         let home = self.home;
         let timing = self.timing;
-        let mut st = self.table.state_mut(id);
+        let mut st = self.dir.row_mut(id);
         let first_remote = all_sw && from != home && !st.remote_accessed();
         if all_sw {
             st.set_remote_accessed();
         }
 
-        match st.hw.state() {
+        match st.state() {
             HwState::Uncached | HwState::ReadOnly => {
-                let overflowed = st.hw.overflowed() || all_sw;
+                let overflowed = st.overflowed() || all_sw;
                 if first_remote {
                     out.invalidate_local = true;
                 }
@@ -646,7 +661,7 @@ impl DirEngine {
                 }
             }
             HwState::ReadWrite => {
-                let owner = st.hw.owner().expect("ReadWrite entry without owner");
+                let owner = st.owner().expect("ReadWrite entry without owner");
                 if owner == from {
                     out.hw_send(
                         from,
@@ -655,8 +670,7 @@ impl DirEngine {
                     );
                     out.hw_cycles = timing.dir_cycles;
                 } else {
-                    st.hw
-                        .begin_transaction(HwState::WriteTransaction, 1, Some(from), true);
+                    st.begin_transaction(HwState::WriteTransaction, 1, Some(from), true);
                     st.set_owner_fetch(Some(owner));
                     st.set_upgrade_pending(false);
                     out.hw_send(owner, ProtoMsg::Flush, timing.dir_cycles);
@@ -679,16 +693,15 @@ impl DirEngine {
         let home = self.home;
         let timing = self.timing;
         self.scratch_sharers.clear();
-        let mut st = self.table.state_mut(id);
-        st.hw.take_ptrs_into(&mut self.scratch_sharers);
-        if st.hw.local_bit() && home != from {
+        let mut st = self.dir.row_mut(id);
+        st.take_ptrs_into(&mut self.scratch_sharers);
+        if st.local_bit() && home != from {
             // Kill the home's copy synchronously (no network, no ack).
-            st.hw.set_local_bit(false);
+            st.set_local_bit(false);
             out.invalidate_local = true;
         }
-        let was_sharer =
-            self.scratch_sharers.contains(&from) || (from == home && st.hw.local_bit());
-        st.hw.set_local_bit(false);
+        let was_sharer = self.scratch_sharers.contains(&from) || (from == home && st.local_bit());
+        st.set_local_bit(false);
         self.scratch_sharers.retain(|&s| s != from);
         self.scratch_sharers.sort_unstable();
         self.scratch_sharers.dedup();
@@ -696,7 +709,7 @@ impl DirEngine {
         out.hw_cycles = timing.dir_cycles;
         if self.scratch_sharers.is_empty() {
             // No remote copies: grant immediately.
-            st.hw.set_sole_owner(from);
+            st.set_sole_owner(from);
             let grant = if was_sharer {
                 ProtoMsg::UpgradeAck
             } else {
@@ -725,9 +738,8 @@ impl DirEngine {
             );
         }
         self.stats.invs_sent += acks as u64;
-        let mut st = self.table.state_mut(id);
-        st.hw
-            .begin_transaction(HwState::WriteTransaction, acks, Some(from), true);
+        let mut st = self.dir.row_mut(id);
+        st.begin_transaction(HwState::WriteTransaction, acks, Some(from), true);
         st.set_upgrade_pending(was_sharer);
         st.set_sw_transaction(false);
     }
@@ -738,10 +750,10 @@ impl DirEngine {
         let nodes = self.nodes;
         let spec = self.spec;
         let buf = self.send_pool.get();
-        let st = self.table.state_mut(id);
+        let st = self.dir.row_mut(id);
 
         let mut ctx =
-            HandlerCtx::with_send_buf(home, nodes, spec, block, id, st.hw, &mut self.sw, buf);
+            HandlerCtx::with_send_buf(home, nodes, spec, block, id, st, &mut self.sw, buf);
         ctx.sharers_into(&mut self.scratch_sharers);
         let was_sharer = self.scratch_sharers.contains(&from);
         self.scratch_sharers.retain(|&s| s != from);
@@ -775,11 +787,11 @@ impl DirEngine {
         self.send_pool.put(sends);
 
         let acks = counter.unwrap_or(acks);
-        let mut st = self.table.state_mut(id);
+        let mut st = self.dir.row_mut(id);
         if acks == 0 {
             // Nothing to invalidate: grant directly from software.
-            st.hw.set_sole_owner(from);
-            st.hw.set_overflowed(false);
+            st.set_sole_owner(from);
+            st.set_overflowed(false);
             let grant = if was_sharer {
                 ProtoMsg::UpgradeAck
             } else {
@@ -793,8 +805,7 @@ impl DirEngine {
                 },
             });
         } else {
-            st.hw
-                .begin_transaction(HwState::WriteTransaction, acks, Some(from), true);
+            st.begin_transaction(HwState::WriteTransaction, acks, Some(from), true);
             st.set_upgrade_pending(was_sharer);
             st.set_sw_transaction(true);
         }
@@ -805,14 +816,13 @@ impl DirEngine {
 
     fn handle_inv_ack(&mut self, id: u32, _from: NodeId, out: &mut Outcome) {
         let timing = self.timing;
-        let mut st = self.table.state_mut(id);
-        if st.hw.state() != HwState::WriteTransaction || st.hw.acks_pending() == 0 {
+        let mut st = self.dir.row_mut(id);
+        if st.state() != HwState::WriteTransaction || st.acks_pending() == 0 {
             self.stats.stale_msgs += 1;
             out.stale = true;
             return;
         }
-        let remaining = st.hw.count_ack();
-        let sw_round = st.sw_transaction();
+        let remaining = st.count_ack();
         out.hw_cycles = timing.dir_cycles;
 
         // Which acknowledgments trap? Every one under `EveryAckTrap`
@@ -833,15 +843,14 @@ impl DirEngine {
         }
 
         // Transaction complete: grant to the waiting requester.
-        let mut st = self.table.state_mut(id);
+        let mut st = self.dir.row_mut(id);
         let requester = st
-            .hw
             .pending_requester()
             .expect("write transaction without requester");
         let upgrade = st.take_upgrade_pending();
-        st.hw.end_transaction();
-        st.hw.set_sole_owner(requester);
-        st.hw.set_overflowed(false);
+        st.end_transaction();
+        st.set_sole_owner(requester);
+        st.set_overflowed(false);
         st.set_sw_transaction(false);
         let grant = if upgrade {
             ProtoMsg::UpgradeAck
@@ -862,7 +871,6 @@ impl DirEngine {
             let off = timing.dir_cycles + if upgrade { 0 } else { timing.dram_cycles };
             out.hw_send(requester, grant, off);
         }
-        let _ = sw_round;
     }
 
     fn handle_owner_ack(
@@ -876,11 +884,11 @@ impl DirEngine {
     ) {
         let timing = self.timing;
         let all_sw = self.all_software();
-        let mut st = self.table.state_mut(id);
+        let mut st = self.dir.row_mut(id);
         let expecting = st.owner_fetch() == Some(from);
         let in_fetch = expecting
             && matches!(
-                st.hw.state(),
+                st.state(),
                 HwState::ReadTransaction | HwState::WriteTransaction
             );
         if !in_fetch || !had_data {
@@ -892,24 +900,23 @@ impl DirEngine {
         }
         st.set_owner_fetch(None);
         let requester = st
-            .hw
             .pending_requester()
             .expect("owner fetch without requester");
-        let was_read = st.hw.state() == HwState::ReadTransaction;
-        st.hw.end_transaction();
+        let was_read = st.state() == HwState::ReadTransaction;
+        st.end_transaction();
         out.hw_cycles = timing.dir_cycles + timing.dram_cycles;
 
         if was_read {
             debug_assert!(downgrade, "read transaction answered by FlushAck");
-            st.hw.set_state(HwState::ReadOnly);
-            st.hw.clear_owner();
+            st.set_state(HwState::ReadOnly);
+            st.clear_owner();
             // The owner keeps a shared copy; record owner then
             // requester, extending in software on overflow.
             self.record_after_fetch(block, id, from, out);
             self.record_after_fetch(block, id, requester, out);
             out.hw_send(requester, ProtoMsg::ReadData, out.hw_cycles);
         } else {
-            st.hw.set_sole_owner(requester);
+            st.set_sole_owner(requester);
             st.set_upgrade_pending(false);
             out.hw_send(requester, ProtoMsg::WriteData, out.hw_cycles);
         }
@@ -924,16 +931,16 @@ impl DirEngine {
         let home = self.home;
         let spec = self.spec;
         let all_sw = self.all_software();
-        let mut st = self.table.state_mut(id);
+        let mut st = self.dir.row_mut(id);
         if node == home && spec.local_bit {
-            st.hw.set_local_bit(true);
+            st.set_local_bit(true);
             return;
         }
-        match st.hw.record_reader(node) {
+        match st.record_reader(node) {
             PtrStoreOutcome::Stored if !all_sw => {}
             _ => {
                 if spec.sw == SwMode::Broadcast {
-                    st.hw.set_overflowed(true);
+                    st.set_overflowed(true);
                 } else {
                     self.run_read_overflow(block, id, node, out);
                 }
@@ -945,12 +952,12 @@ impl DirEngine {
         let timing = self.timing;
         let all_sw = self.all_software();
         out.hw_cycles = timing.dir_cycles + timing.dram_cycles;
-        let mut st = self.table.state_mut(id);
+        let mut st = self.dir.row_mut(id);
         let expecting = st.owner_fetch() == Some(from);
-        match st.hw.state() {
-            HwState::ReadWrite if st.hw.owner() == Some(from) => {
-                st.hw.set_state(HwState::Uncached);
-                st.hw.clear_owner();
+        match st.state() {
+            HwState::ReadWrite if st.owner() == Some(from) => {
+                st.set_state(HwState::Uncached);
+                st.clear_owner();
             }
             HwState::ReadTransaction | HwState::WriteTransaction if expecting => {
                 // The owner evicted while our fetch was in flight; the
@@ -959,18 +966,17 @@ impl DirEngine {
                 // follows will be ignored.
                 st.set_owner_fetch(None);
                 let requester = st
-                    .hw
                     .pending_requester()
                     .expect("owner fetch without requester");
-                let was_read = st.hw.state() == HwState::ReadTransaction;
-                st.hw.end_transaction();
+                let was_read = st.state() == HwState::ReadTransaction;
+                st.end_transaction();
                 if was_read {
-                    st.hw.set_state(HwState::ReadOnly);
-                    st.hw.clear_owner();
+                    st.set_state(HwState::ReadOnly);
+                    st.clear_owner();
                     self.record_after_fetch(block, id, requester, out);
                     out.hw_send(requester, ProtoMsg::ReadData, out.hw_cycles);
                 } else {
-                    st.hw.set_sole_owner(requester);
+                    st.set_sole_owner(requester);
                     st.set_upgrade_pending(false);
                     out.hw_send(requester, ProtoMsg::WriteData, out.hw_cycles);
                 }
@@ -993,7 +999,7 @@ impl DirEngine {
         // During a software-managed acknowledgment round (`S_{NB,ACK}`
         // and the software-only directory) even the BUSY bounce is a
         // software action.
-        let sw_round = self.table.state(id).sw_transaction();
+        let sw_round = self.dir.row(id).sw_transaction();
         let sw_busy = self.all_software() || (sw_round && self.spec.ack == AckMode::EveryAckTrap);
         if sw_busy {
             let bill = self.costs.busy_trap();
@@ -1037,18 +1043,18 @@ impl DirEngine {
     /// validates every directory invariant the spectrum promises.
     /// Called once per event while the sanitizer is enabled.
     fn record_and_validate(&mut self, block: BlockAddr, id: u32, event: DirEvent, out: &Outcome) {
-        let st = self.table.state(id);
+        let st = self.dir.row(id);
         let sw_readers = self.sw.reader_count(id);
         self.history.record(
             id,
             HistoryRecord {
                 event,
-                state: st.hw.state(),
-                acks: st.hw.acks_pending(),
-                ptr_count: st.hw.ptr_count().min(usize::from(u8::MAX)) as u8,
+                state: st.state(),
+                acks: st.acks_pending(),
+                ptr_count: st.ptr_count().min(usize::from(u8::MAX)) as u8,
                 sw_readers: sw_readers.min(usize::from(u16::MAX)) as u16,
-                local_bit: st.hw.local_bit(),
-                overflowed: st.hw.overflowed(),
+                local_bit: st.local_bit(),
+                overflowed: st.overflowed(),
                 owner_fetch: st.owner_fetch(),
                 stale: out.stale,
             },
@@ -1066,23 +1072,22 @@ impl DirEngine {
     /// *every* event, in every protocol of the spectrum; each arm
     /// documents why.
     fn block_invariants(&self, block: BlockAddr, id: u32) -> Result<(), String> {
-        let st = self.table.state(id);
-        let hw = &st.hw;
-        hw.structural_invariants()?;
+        let st = self.dir.row(id);
+        st.structural_invariants()?;
         self.sw.structural_invariants(id)?;
         let sw_readers = self.sw.reader_count(id);
         let _ = block;
 
-        match hw.state() {
+        match st.state() {
             HwState::Uncached => {
                 // No copies anywhere: every pointer form must be clear.
-                if hw.ptr_count() != 0 || hw.local_bit() || hw.overflowed() || sw_readers != 0 {
+                if st.ptr_count() != 0 || st.local_bit() || st.overflowed() || sw_readers != 0 {
                     return Err(format!(
                         "Uncached entry still tracks sharers \
                          (ptrs={}, local_bit={}, overflowed={}, sw={sw_readers})",
-                        hw.ptr_count(),
-                        hw.local_bit(),
-                        hw.overflowed()
+                        st.ptr_count(),
+                        st.local_bit(),
+                        st.overflowed()
                     ));
                 }
             }
@@ -1095,11 +1100,11 @@ impl DirEngine {
                 // for "potentially everyone".
                 match self.spec.sw {
                     SwMode::NoBroadcast => {
-                        if hw.overflowed() != (sw_readers != 0) {
+                        if st.overflowed() != (sw_readers != 0) {
                             return Err(format!(
                                 "overflow bit ({}) and software record ({sw_readers} readers) \
                                  out of sync",
-                                hw.overflowed()
+                                st.overflowed()
                             ));
                         }
                     }
@@ -1111,33 +1116,33 @@ impl DirEngine {
                         }
                     }
                 }
-                if self.spec.full_map && hw.overflowed() {
+                if self.spec.full_map && st.overflowed() {
                     return Err("full-map directory overflowed".to_string());
                 }
             }
             HwState::ReadWrite => {
                 // Single-writer: exactly one owner and nothing else.
-                if hw.owner().is_none() {
+                if st.owner().is_none() {
                     return Err("ReadWrite entry without an owner".to_string());
                 }
-                if hw.ptr_count() != 0 || hw.local_bit() || hw.overflowed() || sw_readers != 0 {
+                if st.ptr_count() != 0 || st.local_bit() || st.overflowed() || sw_readers != 0 {
                     return Err(format!(
                         "ReadWrite entry also tracks readers \
                          (ptrs={}, local_bit={}, overflowed={}, sw={sw_readers}) — \
                          single-writer xor multi-reader violated",
-                        hw.ptr_count(),
-                        hw.local_bit(),
-                        hw.overflowed()
+                        st.ptr_count(),
+                        st.local_bit(),
+                        st.overflowed()
                     ));
                 }
             }
             HwState::ReadTransaction => {
                 // An owner fetch for a read: exactly one response
                 // outstanding, and we must remember whom to fetch from.
-                if hw.acks_pending() != 1 {
+                if st.acks_pending() != 1 {
                     return Err(format!(
                         "ReadTransaction with {} responses outstanding (expected 1)",
-                        hw.acks_pending()
+                        st.acks_pending()
                     ));
                 }
                 if st.owner_fetch().is_none() {
@@ -1148,7 +1153,7 @@ impl DirEngine {
                 // Ack counting in progress: the transaction completes
                 // (and leaves this state) on the final acknowledgment,
                 // so an entry observed in it has acks outstanding.
-                if hw.acks_pending() == 0 {
+                if st.acks_pending() == 0 {
                     return Err("WriteTransaction with no acknowledgments outstanding".to_string());
                 }
             }
@@ -1158,21 +1163,21 @@ impl DirEngine {
         // their transactions.
         if st.owner_fetch().is_some()
             && !matches!(
-                hw.state(),
+                st.state(),
                 HwState::ReadTransaction | HwState::WriteTransaction
             )
         {
             return Err(format!(
                 "owner fetch from {:?} outside a transaction ({:?})",
                 st.owner_fetch(),
-                hw.state()
+                st.state()
             ));
         }
-        if st.upgrade_pending() && hw.state() != HwState::WriteTransaction {
-            return Err(format!("upgrade pending in {:?}", hw.state()));
+        if st.upgrade_pending() && st.state() != HwState::WriteTransaction {
+            return Err(format!("upgrade pending in {:?}", st.state()));
         }
-        if st.sw_transaction() && hw.state() != HwState::WriteTransaction {
-            return Err(format!("software transaction flag set in {:?}", hw.state()));
+        if st.sw_transaction() && st.state() != HwState::WriteTransaction {
+            return Err(format!("software transaction flag set in {:?}", st.state()));
         }
         Ok(())
     }
@@ -1188,20 +1193,20 @@ impl DirEngine {
         if self.local_fast_path(block) {
             return node == self.home;
         }
-        let Some(id) = self.table.id_of(block) else {
+        let Some(id) = self.interner.id_of(block) else {
             return false;
         };
-        let st = self.table.state(id);
-        st.hw.owner() == Some(node)
-            || st.hw.contains_ptr(node)
-            || (st.hw.local_bit() && node == self.home)
-            || (st.hw.overflowed() && self.spec.sw == SwMode::Broadcast)
+        let st = self.dir.row(id);
+        st.owner() == Some(node)
+            || st.contains_ptr(node)
+            || (st.local_bit() && node == self.home)
+            || (st.overflowed() && self.spec.sw == SwMode::Broadcast)
             || self.sw.contains_reader(id, node)
     }
 
     /// The exclusive owner the directory records for `block`, if any.
     pub fn dir_owner(&self, block: BlockAddr) -> Option<NodeId> {
-        self.table.get(block).and_then(|st| st.hw.owner())
+        self.row_of(block).and_then(|st| st.owner())
     }
 
     /// Violations of the quiesce contract: once the machine drains,
@@ -1209,20 +1214,22 @@ impl DirEngine {
     /// bookkeeping, and every per-event invariant must still hold.
     pub fn quiesce_violations(&self) -> Vec<String> {
         let mut v = Vec::new();
-        for (block, id, st) in self.table.iter() {
-            if !st.hw.state().accepts_requests() {
+        for (id, &block) in self.interner.blocks().iter().enumerate() {
+            let id = id as u32;
+            let st = self.dir.row(id);
+            if !st.state().accepts_requests() {
                 v.push(format!(
                     "home {} block {block}: still in {:?} at quiesce",
                     self.home,
-                    st.hw.state()
+                    st.state()
                 ));
                 continue;
             }
-            if st.hw.acks_pending() != 0 {
+            if st.acks_pending() != 0 {
                 v.push(format!(
                     "home {} block {block}: {} acknowledgments never arrived",
                     self.home,
-                    st.hw.acks_pending()
+                    st.acks_pending()
                 ));
             }
             if st.owner_fetch().is_some() || st.upgrade_pending() || st.sw_transaction() {
@@ -1245,7 +1252,7 @@ impl DirEngine {
     /// The retained event history for `block`, formatted for
     /// diagnostics (the retry watchdog includes this in its panic).
     pub fn history_dump(&self, block: BlockAddr) -> String {
-        match self.table.id_of(block) {
+        match self.interner.id_of(block) {
             Some(id) => self.history.dump(block, id),
             None => format!("no directory events recorded for {block}"),
         }

@@ -48,7 +48,6 @@ pub mod enhancements;
 pub mod iface;
 pub mod msg;
 pub mod spec;
-pub mod table;
 
 pub use check::{CheckLevel, EventHistory, HistoryRecord};
 pub use cost::{CostModel, HandlerImpl, HandlerKind, TrapBill};
@@ -57,4 +56,3 @@ pub use enhancements::{AdaptiveBroadcastHandler, MigratoryHandler, ProfilingHand
 pub use iface::{BroadcastHandler, ExtensionHandler, HandlerCtx, LimitlessHandler};
 pub use msg::{BlockMsg, ProtoMsg};
 pub use spec::{AckMode, ProtocolSpec, SwMode};
-pub use table::{BlockStateMut, BlockStateRef, DirectoryTable};

@@ -221,12 +221,6 @@ impl HwDirEntry {
         self.acks_pending
     }
 
-    /// Sets the outstanding acknowledgment count (software handlers
-    /// hand the counter back to hardware this way).
-    pub fn set_acks_pending(&mut self, n: u32) {
-        self.acks_pending = n;
-    }
-
     /// Counts one acknowledgment; returns the number still pending.
     ///
     /// # Panics
@@ -269,28 +263,6 @@ impl HwDirEntry {
     /// Number of hardware pointers in use.
     pub fn ptr_count(&self) -> usize {
         self.ptrs.len()
-    }
-
-    // -- raw escape hatches used by the SoA table's `to_model` bridge
-    //    and by differential tests; they bypass the state machine.
-
-    /// Appends a pointer without capacity or duplicate checks.
-    #[doc(hidden)]
-    pub fn raw_push_ptr(&mut self, node: NodeId) {
-        self.ptrs.push(node);
-    }
-
-    /// Sets the pending-transaction bookkeeping directly.
-    #[doc(hidden)]
-    pub fn set_pending(&mut self, requester: Option<NodeId>, is_write: bool) {
-        self.pending_requester = requester;
-        self.pending_is_write = is_write;
-    }
-
-    /// Sets the owner field directly (regardless of state).
-    #[doc(hidden)]
-    pub fn set_raw_owner(&mut self, owner: Option<NodeId>) {
-        self.owner = owner;
     }
 
     /// Entry-local structural invariants, checked by the coherence

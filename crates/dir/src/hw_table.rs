@@ -1,4 +1,5 @@
-//! Struct-of-arrays storage for hardware directory entries.
+//! Struct-of-arrays storage for directory entries: the one per-block
+//! directory row.
 //!
 //! [`super::hw::HwDirEntry`] models one entry as a fat struct with its
 //! own heap-allocated pointer array — fine for reasoning, wasteful for
@@ -7,6 +8,13 @@
 //! columns: one `Vec` per field, flag bits packed into a `u8` bitset
 //! column, `Option<NodeId>` fields collapsed to [`NodeId::NONE`]
 //! sentinels.
+//!
+//! A row is the whole per-block record the home keeps (paper §2–§3.1):
+//! the pointers, the one-bit local pointer, the overflow and
+//! transaction meta-state, the ack counter, and the engine's
+//! bookkeeping for the same transactions — the zero-pointer protocol's
+//! remote-access bit, the upgrade and software-transaction flags, and
+//! the owner a Flush/Downgrade is waiting on.
 //!
 //! Pointer sets live in one [`PresenceRows`] column (DESIGN.md §12):
 //! each row is `ceil(nodes / 64)` presence words at every machine
@@ -23,7 +31,9 @@
 
 use limitless_sim::NodeId;
 
-use crate::hw::{HwDirEntry, HwState, PtrStoreOutcome};
+#[cfg(doc)]
+use crate::hw::HwDirEntry;
+use crate::hw::{HwState, PtrStoreOutcome};
 use crate::presence::{PresenceRows, PtrIter};
 
 /// Bit positions in the packed per-entry flag column.
@@ -34,9 +44,18 @@ mod flag {
     pub const OVERFLOWED: u8 = 1 << 1;
     /// The pending transaction request is a write.
     pub const PENDING_IS_WRITE: u8 = 1 << 2;
+    /// Zero-pointer protocol: the block has been accessed by a remote
+    /// node (the per-block extra bit of §2.3). Never reset.
+    pub const REMOTE_ACCESSED: u8 = 1 << 3;
+    /// The in-flight write transaction grants an upgrade (permission
+    /// without data).
+    pub const UPGRADE_PENDING: u8 = 1 << 4;
+    /// The current write transaction was initiated by software
+    /// (determines LACK/ACK behaviour on completion).
+    pub const SW_TRANSACTION: u8 = 1 << 5;
 }
 
-/// Column-oriented storage for every hardware directory entry of one
+/// Column-oriented storage for every per-block directory row of one
 /// home node.
 ///
 /// # Examples
@@ -66,6 +85,9 @@ pub struct HwDirTable {
     pending: Vec<NodeId>,
     /// Sole owner in `ReadWrite` ([`NodeId::NONE`] when absent).
     owner: Vec<NodeId>,
+    /// The owner a Flush/Downgrade response is awaited from
+    /// ([`NodeId::NONE`] when absent).
+    owner_fetch: Vec<NodeId>,
     /// The hardware pointer set of every entry, one row each.
     ptrs: PresenceRows,
     /// Pointers in use per entry: the row's popcount, kept so the
@@ -98,6 +120,7 @@ impl HwDirTable {
             acks: Vec::new(),
             pending: Vec::new(),
             owner: Vec::new(),
+            owner_fetch: Vec::new(),
             ptrs: PresenceRows::new(nodes),
             len: Vec::new(),
         }
@@ -129,11 +152,13 @@ impl HwDirTable {
         self.acks.clear();
         self.pending.clear();
         self.owner.clear();
+        self.owner_fetch.clear();
         self.ptrs.clear();
         self.len.clear();
     }
 
-    /// Appends a fresh `Uncached` entry, returning its row index.
+    /// Appends a fresh `Uncached` entry with every flag clear, returning
+    /// its row index.
     pub fn push_row(&mut self) -> u32 {
         let row = u32::try_from(self.state.len()).expect("more than 2^32 directory rows");
         self.state.push(HwState::Uncached);
@@ -141,6 +166,7 @@ impl HwDirTable {
         self.acks.push(0);
         self.pending.push(NodeId::NONE);
         self.owner.push(NodeId::NONE);
+        self.owner_fetch.push(NodeId::NONE);
         self.ptrs.push_row();
         self.len.push(0);
         row
@@ -253,6 +279,33 @@ macro_rules! shared_row_accessors {
             }
         }
 
+        /// Zero-pointer protocol: has a remote node ever accessed the
+        /// block?
+        #[inline]
+        pub fn remote_accessed(&self) -> bool {
+            self.t.flags[self.i] & flag::REMOTE_ACCESSED != 0
+        }
+
+        /// Whether the in-flight write transaction grants an upgrade.
+        #[inline]
+        pub fn upgrade_pending(&self) -> bool {
+            self.t.flags[self.i] & flag::UPGRADE_PENDING != 0
+        }
+
+        /// Whether the current write transaction was initiated by
+        /// software.
+        #[inline]
+        pub fn sw_transaction(&self) -> bool {
+            self.t.flags[self.i] & flag::SW_TRANSACTION != 0
+        }
+
+        /// The owner this block is waiting on for a Flush/Downgrade
+        /// response, if any.
+        #[inline]
+        pub fn owner_fetch(&self) -> Option<NodeId> {
+            self.t.owner_fetch[self.i].get()
+        }
+
         /// Entry-local structural invariants (same checks and messages
         /// as [`HwDirEntry::structural_invariants`], plus the pointer
         /// count matching the presence bits; duplicate pointers are
@@ -307,22 +360,6 @@ macro_rules! shared_row_accessors {
             }
             Ok(())
         }
-
-        /// Copies the row into the fat reference model (for the
-        /// sanitizer's history records and differential tests).
-        pub fn to_model(&self) -> HwDirEntry {
-            let mut e = HwDirEntry::new(self.capacity());
-            e.set_state(self.state());
-            for p in self.ptr_iter() {
-                e.raw_push_ptr(p);
-            }
-            e.set_local_bit(self.local_bit());
-            e.set_overflowed(self.overflowed());
-            e.set_acks_pending(self.acks_pending());
-            e.set_pending(self.pending_requester(), self.pending_is_write());
-            e.set_raw_owner(self.t.owner[self.i].get());
-            e
-        }
     };
 }
 
@@ -348,25 +385,6 @@ pub struct HwEntryMut<'a> {
 impl<'a> HwEntryMut<'a> {
     shared_row_accessors!();
 
-    /// Reborrows the view for a shorter lifetime (to hand it to a
-    /// [`HandlerCtx`](../../limitless_core) without giving it up).
-    #[inline]
-    pub fn reborrow(&mut self) -> HwEntryMut<'_> {
-        HwEntryMut {
-            t: &mut *self.t,
-            i: self.i,
-        }
-    }
-
-    /// Read-only alias of this row.
-    #[inline]
-    pub fn as_ref(&self) -> HwEntryRef<'_> {
-        HwEntryRef {
-            t: &*self.t,
-            i: self.i,
-        }
-    }
-
     /// Sets the coherence state.
     #[inline]
     pub fn set_state(&mut self, s: HwState) {
@@ -384,6 +402,38 @@ impl<'a> HwEntryMut<'a> {
     #[inline]
     pub fn set_overflowed(&mut self, v: bool) {
         self.set_flag(flag::OVERFLOWED, v);
+    }
+
+    /// Marks the block as remotely accessed (never reset).
+    #[inline]
+    pub fn set_remote_accessed(&mut self) {
+        self.set_flag(flag::REMOTE_ACCESSED, true);
+    }
+
+    /// Sets or clears the upgrade-pending flag.
+    #[inline]
+    pub fn set_upgrade_pending(&mut self, v: bool) {
+        self.set_flag(flag::UPGRADE_PENDING, v);
+    }
+
+    /// Reads and clears the upgrade-pending flag.
+    #[inline]
+    pub fn take_upgrade_pending(&mut self) -> bool {
+        let v = self.upgrade_pending();
+        self.set_upgrade_pending(false);
+        v
+    }
+
+    /// Sets or clears the software-transaction flag.
+    #[inline]
+    pub fn set_sw_transaction(&mut self, v: bool) {
+        self.set_flag(flag::SW_TRANSACTION, v);
+    }
+
+    /// Sets or clears the owner-fetch target.
+    #[inline]
+    pub fn set_owner_fetch(&mut self, o: Option<NodeId>) {
+        self.t.owner_fetch[self.i] = NodeId::from_option(o);
     }
 
     #[inline]
@@ -466,12 +516,6 @@ impl<'a> HwEntryMut<'a> {
         self.set_flag(flag::PENDING_IS_WRITE, is_write);
     }
 
-    /// Sets the outstanding acknowledgment count.
-    #[inline]
-    pub fn set_acks_pending(&mut self, n: u32) {
-        self.t.acks[self.i] = n;
-    }
-
     /// Counts one acknowledgment; returns the number still pending.
     ///
     /// # Panics
@@ -483,14 +527,17 @@ impl<'a> HwEntryMut<'a> {
         self.t.acks[self.i]
     }
 
-    /// Clears transaction bookkeeping (on completion).
+    /// Clears the hardware transaction bookkeeping (on completion). The
+    /// engine's upgrade, software-transaction and owner-fetch fields
+    /// have their own clear points.
     pub fn end_transaction(&mut self) {
         self.t.acks[self.i] = 0;
         self.t.pending[self.i] = NodeId::NONE;
         self.set_flag(flag::PENDING_IS_WRITE, false);
     }
 
-    /// Resets the entry to `Uncached` with no pointers.
+    /// Resets the hardware entry to `Uncached` with no pointers (the
+    /// engine's flags and owner-fetch field are left as they are).
     pub fn reset(&mut self) {
         self.t.state[self.i] = HwState::Uncached;
         self.clear_ptrs();
@@ -504,6 +551,7 @@ impl<'a> HwEntryMut<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hw::HwDirEntry;
 
     /// Row widths a test should cover: one word (16, 64), a barely-used
     /// second word (65), and the 255..=257 and 1023/1024 seams.
@@ -582,7 +630,7 @@ mod tests {
             assert!(e.remove_ptr(NodeId(10)));
             assert_eq!(e.ptr_count(), nodes - 1);
             assert!(!e.contains_ptr(NodeId(10)));
-            e.as_ref().structural_invariants().unwrap();
+            e.structural_invariants().unwrap();
         }
     }
 
@@ -747,8 +795,37 @@ mod tests {
             assert!(!e.local_bit());
             assert!(!e.overflowed());
             assert_eq!(e.acks_pending(), 0);
-            assert!(e.to_model().structural_invariants().is_ok());
+            assert!(e.structural_invariants().is_ok());
         }
+    }
+
+    #[test]
+    fn packed_flags_start_clear_and_are_independent() {
+        let mut t = one_row(2, 64);
+        let mut e = t.row_mut(0);
+        assert!(!e.remote_accessed() && !e.upgrade_pending() && !e.sw_transaction());
+        assert!(!e.local_bit() && !e.overflowed() && !e.pending_is_write());
+        assert_eq!(e.owner_fetch(), None);
+        e.set_remote_accessed();
+        e.set_upgrade_pending(true);
+        e.set_sw_transaction(true);
+        e.set_owner_fetch(Some(NodeId(7)));
+        assert!(e.remote_accessed() && e.upgrade_pending() && e.sw_transaction());
+        assert!(e.take_upgrade_pending());
+        assert!(!e.upgrade_pending());
+        assert!(e.remote_accessed() && e.sw_transaction());
+        e.set_sw_transaction(false);
+        assert!(e.remote_accessed());
+        // The hardware transitions leave the engine's fields alone.
+        e.set_local_bit(true);
+        e.set_overflowed(true);
+        e.begin_transaction(HwState::WriteTransaction, 1, Some(NodeId(3)), true);
+        e.end_transaction();
+        e.reset();
+        assert!(e.remote_accessed() && !e.local_bit() && !e.overflowed());
+        assert_eq!(e.owner_fetch(), Some(NodeId(7)));
+        e.set_owner_fetch(None);
+        assert_eq!(t.row(0).owner_fetch(), None);
     }
 
     /// Differential check: a pseudo-random operation tape applied to

@@ -21,7 +21,9 @@
 //! the struct-of-arrays [`HwDirTable`], whose [`HwEntryMut`]/
 //! [`HwEntryRef`] row views expose the `HwDirEntry` method set over
 //! packed columns, with the protocol's pointer count as a bound on the
-//! row's set size. [`SwDirectory`] gives every block id one unbounded
+//! row's set size. The same row carries the protocol engine's
+//! per-block transaction bookkeeping, so it is the only store of
+//! per-block directory state. [`SwDirectory`] gives every block id one unbounded
 //! row. `HwDirEntry` and [`SwDirModel`] remain the fat reference models
 //! both halves are differentially tested against.
 //!

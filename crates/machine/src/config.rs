@@ -34,24 +34,6 @@ impl Default for ProcTiming {
     }
 }
 
-/// How the simulation engine executes a run.
-///
-/// Both modes produce bit-identical results — the same cycle counts,
-/// statistics, memory images and read streams — because every event is
-/// ordered by the same structural `(time, key)` total order. `Sharded`
-/// trades a conservative-window synchronization protocol for wallclock
-/// parallelism; see DESIGN.md §9.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum EngineMode {
-    /// One event lane processes every node (the reference engine).
-    Serial,
-    /// Conservative parallel-in-run simulation: nodes are partitioned
-    /// into this many contiguous lanes, each with its own event queue
-    /// and worker thread, synchronized at windows bounded by the
-    /// minimum cross-node network latency.
-    Sharded(usize),
-}
-
 /// Livelock-watchdog parameters (paper §4.1): a timer interrupt
 /// detects protocol handlers starving user code and temporarily shuts
 /// off asynchronous events. Armed automatically for the protocols that
@@ -104,18 +86,13 @@ pub struct MachineConfig {
     /// quiesce audit), or `Full` (adds per-access permission checks
     /// and the read-stream log for the differential oracle).
     pub check: CheckLevel,
-    /// Execution engine: serial reference or sharded parallel lanes.
-    pub engine: EngineMode,
-    /// Sharded engine: pin worker threads to distinct cores
-    /// (`sched_setaffinity` on Linux, no-op elsewhere) so each lane's
-    /// dense node columns stay cache-resident.
-    pub pin_lanes: bool,
-    /// Event-queue near-future window in cycles (power of two). `0`
-    /// derives it from the node count at build time: big machines
-    /// fan invalidations out to `O(nodes)` sharers at pipelined
-    /// per-message offsets, so the ladder window widens with the
-    /// machine instead of spilling those sends to the overflow heap.
-    pub event_horizon: usize,
+    /// Event lanes: `1` runs the serial reference engine, more runs
+    /// the sharded conservative parallel engine with that many lanes
+    /// (DESIGN.md §9). Both produce bit-identical results — the same
+    /// cycle counts, statistics, memory images and read streams —
+    /// because every event is ordered by the same structural
+    /// `(time, key)` total order; only wall time changes.
+    pub shards: usize,
 }
 
 impl MachineConfig {
@@ -157,13 +134,6 @@ pub enum ConfigError {
         /// The requested line size.
         line_bytes: u64,
     },
-    /// The explicit event horizon is not a power of two of at least
-    /// [`limitless_sim::MIN_WINDOW`] cycles (the ladder queue's bucket
-    /// bitmap is word-granular and indexed by mask).
-    BadEventHorizon {
-        /// The requested window width.
-        requested: usize,
-    },
 }
 
 impl std::fmt::Display for ConfigError {
@@ -186,12 +156,6 @@ impl std::fmt::Display for ConfigError {
                 f,
                 "cache capacity ({capacity_bytes} B) over line size ({line_bytes} B) \
                  must give a positive power-of-two set count"
-            ),
-            ConfigError::BadEventHorizon { requested } => write!(
-                f,
-                "event horizon must be a power of two of at least {} cycles \
-                 (or 0 to derive from the node count), got {requested}",
-                limitless_sim::MIN_WINDOW
             ),
         }
     }
@@ -235,9 +199,7 @@ impl Default for MachineConfigBuilder {
                 barrier_cycles: 0, // derived at build time if left 0
                 track_worker_sets: false,
                 check: CheckLevel::Off,
-                engine: EngineMode::Serial,
-                pin_lanes: true,
-                event_horizon: 0, // derived at build time if left 0
+                shards: 1,
             },
         }
     }
@@ -330,36 +292,11 @@ impl MachineConfigBuilder {
         self
     }
 
-    /// Selects the execution engine directly.
-    pub fn engine_mode(mut self, m: EngineMode) -> Self {
-        self.cfg.engine = m;
-        self
-    }
-
-    /// Enables or disables pinning sharded worker threads to cores.
-    pub fn pin_lanes(mut self, on: bool) -> Self {
-        self.cfg.pin_lanes = on;
-        self
-    }
-
-    /// Overrides the event-queue window width in cycles (otherwise
-    /// derived from the node count at build time). Must be a power of
-    /// two ≥ 64, or `0` to restore the derivation. Simulated results
-    /// are bit-identical for every width; only host wall time and
-    /// memory change.
-    pub fn event_horizon(mut self, cycles: usize) -> Self {
-        self.cfg.event_horizon = cycles;
-        self
-    }
-
-    /// Convenience: `0` or `1` shard selects the serial engine, more
-    /// selects the sharded parallel engine with that many lanes.
+    /// Sets the event-lane count: `0` or `1` selects the serial
+    /// engine, more selects the sharded parallel engine with that many
+    /// lanes.
     pub fn shards(mut self, s: usize) -> Self {
-        self.cfg.engine = if s <= 1 {
-            EngineMode::Serial
-        } else {
-            EngineMode::Sharded(s)
-        };
+        self.cfg.shards = s.max(1);
         self
     }
 
@@ -400,23 +337,6 @@ impl MachineConfigBuilder {
             // A dissemination/tree barrier: O(log n) network phases.
             let log = usize::BITS - self.cfg.nodes.next_power_of_two().leading_zeros() - 1;
             self.cfg.barrier_cycles = 20 + 12 * u64::from(log);
-        }
-        match self.cfg.event_horizon {
-            // Invalidation rounds pipeline one send per sharer, so a
-            // wide-shared block on an N-node machine schedules events
-            // ~N pipeline slots out; 4×nodes keeps that fan-out (and
-            // the software extension's sequential sends) inside the
-            // bucket window. 1024 remains the floor, matching the
-            // historical fixed window on CM-5-scale machines.
-            0 => {
-                self.cfg.event_horizon = (4 * self.cfg.nodes)
-                    .max(limitless_sim::DEFAULT_WINDOW)
-                    .next_power_of_two();
-            }
-            h if h < limitless_sim::MIN_WINDOW || !h.is_power_of_two() => {
-                return Err(ConfigError::BadEventHorizon { requested: h });
-            }
-            _ => {}
         }
         Ok(self.cfg)
     }
@@ -569,65 +489,10 @@ mod tests {
     }
 
     #[test]
-    fn event_horizon_derivation_scales_with_nodes() {
-        // CM-5-scale machines keep the historical 1024-cycle window;
-        // 1024-node meshes widen to cover O(nodes) invalidation
-        // fan-out. Always a power of two (the ladder masks with it).
-        for (nodes, want) in [
-            (16, 1024),
-            (64, 1024),
-            (256, 1024),
-            (512, 2048),
-            (1024, 4096),
-        ] {
-            let cfg = MachineConfig::builder().nodes(nodes).build();
-            assert_eq!(cfg.event_horizon, want, "nodes {nodes}");
-            assert!(cfg.event_horizon.is_power_of_two());
-        }
-    }
-
-    #[test]
-    fn explicit_event_horizon_respected_and_validated() {
-        let cfg = MachineConfig::builder().event_horizon(8192).build();
-        assert_eq!(cfg.event_horizon, 8192);
-        for bad in [1, 32, 1000, 3000] {
-            assert_eq!(
-                MachineConfig::builder()
-                    .event_horizon(bad)
-                    .try_build()
-                    .unwrap_err(),
-                ConfigError::BadEventHorizon { requested: bad },
-                "horizon {bad}"
-            );
-        }
-        let err = MachineConfig::builder()
-            .event_horizon(1000)
-            .try_build()
-            .unwrap_err();
-        assert!(err.to_string().contains("power of two"), "{err}");
-    }
-
-    #[test]
     fn shard_selection_normalizes_degenerate_counts() {
-        assert_eq!(MachineConfig::builder().build().engine, EngineMode::Serial);
-        assert_eq!(
-            MachineConfig::builder().shards(1).build().engine,
-            EngineMode::Serial
-        );
-        assert_eq!(
-            MachineConfig::builder().shards(0).build().engine,
-            EngineMode::Serial
-        );
-        assert_eq!(
-            MachineConfig::builder().shards(4).build().engine,
-            EngineMode::Sharded(4)
-        );
-        assert_eq!(
-            MachineConfig::builder()
-                .engine_mode(EngineMode::Sharded(2))
-                .build()
-                .engine,
-            EngineMode::Sharded(2)
-        );
+        assert_eq!(MachineConfig::builder().build().shards, 1);
+        assert_eq!(MachineConfig::builder().shards(1).build().shards, 1);
+        assert_eq!(MachineConfig::builder().shards(0).build().shards, 1);
+        assert_eq!(MachineConfig::builder().shards(4).build().shards, 4);
     }
 }

@@ -62,9 +62,7 @@ pub mod stats;
 mod sync;
 mod trap_path;
 
-pub use config::{
-    ConfigError, EngineMode, MachineConfig, MachineConfigBuilder, ProcTiming, WatchdogConfig,
-};
+pub use config::{ConfigError, MachineConfig, MachineConfigBuilder, ProcTiming, WatchdogConfig};
 pub use limitless_core::CheckLevel;
 pub use machine::Machine;
 pub use program::{FnProgram, Op, Program, Rmw, ScriptProgram};

@@ -34,7 +34,6 @@ use limitless_core::{BlockMsg, DirEvent, ProtoMsg};
 use limitless_net::{FlitCount, NetStats};
 use limitless_sim::{Addr, BlockAddr, Cycle, EventQueue, NodeId};
 
-use crate::config::EngineMode;
 use crate::lane_sync::{pin_current_thread, LaneSync};
 use crate::machine::{Ev, Machine, Payload, Pending, SyncMsg, TieKey};
 use crate::program::{Op, Rmw};
@@ -50,6 +49,22 @@ const MAX_EVENTS: u64 = 4_000_000_000;
 /// with the home directory's event history instead of spinning to the
 /// event-limit backstop.
 const CHECKED_RETRY_LIMIT: u32 = 10_000;
+
+/// The event-queue near-future window in cycles for a `nodes`-node
+/// machine (always a power of two: the ladder masks with it).
+/// Invalidation rounds pipeline one send per sharer, so a wide-shared
+/// block on an N-node machine schedules events ~N pipeline slots out;
+/// 4×nodes keeps that fan-out (and the software extension's sequential
+/// sends) inside the bucket window instead of spilling it to the
+/// overflow heap. 1024 remains the floor, matching the historical
+/// fixed window on CM-5-scale machines. Simulated results are
+/// bit-identical for every width; only host wall time and memory
+/// change.
+fn event_horizon(nodes: usize) -> usize {
+    (4 * nodes)
+        .max(limitless_sim::DEFAULT_WINDOW)
+        .next_power_of_two()
+}
 
 /// A lane's inbox: cross-lane events plus tagged write-log batches
 /// from every peer, behind one mutex. Producers push at publish
@@ -341,10 +356,7 @@ impl Machine {
             .ok()
             .and_then(|v| v.parse().ok())
             .unwrap_or(MAX_EVENTS);
-        let lanes = match self.cfg.engine {
-            EngineMode::Serial => 1,
-            EngineMode::Sharded(s) => s.clamp(1, self.nodes.len()),
-        };
+        let lanes = self.cfg.shards.clamp(1, self.nodes.len());
         let (events, net_stats) = if lanes <= 1 {
             self.run_serial(max_events)
         } else {
@@ -379,7 +391,7 @@ impl Machine {
             total_nodes: total,
             nodes: std::mem::take(&mut self.nodes),
             net: self.net.clone(),
-            queue: EventQueue::with_window(self.cfg.event_horizon),
+            queue: EventQueue::with_window(event_horizon(self.cfg.nodes)),
             slot: None,
             executed: 0,
             finished: 0,
@@ -449,7 +461,7 @@ impl Machine {
                 total_nodes: total,
                 nodes: all.split_off(bounds[l]),
                 net: self.net.clone(),
-                queue: EventQueue::with_window(self.cfg.event_horizon),
+                queue: EventQueue::with_window(event_horizon(self.cfg.nodes)),
                 slot: None,
                 executed: 0,
                 finished: 0,
@@ -497,7 +509,7 @@ impl Machine {
         if threads < lanes {
             warn_oversubscribed(lanes, cores, threads);
         }
-        let pin = self.cfg.pin_lanes && threads > 1;
+        let pin = threads > 1;
         let spin_budget = spin_budget_for(threads);
 
         // Carve the shards into one contiguous group per thread.
@@ -1303,5 +1315,27 @@ impl Shard {
         }
         self.node_mut(n).footprint = Some(fp);
         penalty
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::event_horizon;
+
+    #[test]
+    fn event_horizon_derivation_scales_with_nodes() {
+        // CM-5-scale machines keep the historical 1024-cycle window;
+        // 1024-node meshes widen to cover O(nodes) invalidation
+        // fan-out. Always a power of two (the ladder masks with it).
+        for (nodes, want) in [
+            (16, 1024),
+            (64, 1024),
+            (256, 1024),
+            (512, 2048),
+            (1024, 4096),
+        ] {
+            assert_eq!(event_horizon(nodes), want, "nodes {nodes}");
+            assert!(event_horizon(nodes).is_power_of_two());
+        }
     }
 }

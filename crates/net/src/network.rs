@@ -3,7 +3,6 @@
 
 use limitless_sim::{Cycle, NodeId};
 
-use crate::message::FlitCount;
 use crate::topology::MeshTopology;
 
 /// Network timing parameters.
@@ -256,11 +255,6 @@ impl Network {
         deliver
     }
 
-    /// Convenience for [`Network::send`] taking a [`FlitCount`].
-    pub fn send_sized(&mut self, now: Cycle, src: NodeId, dst: NodeId, size: FlitCount) -> Cycle {
-        self.send(now, src, dst, size.as_u32())
-    }
-
     /// Statistics accumulated so far.
     pub fn stats(&self) -> NetStats {
         self.stats
@@ -276,6 +270,7 @@ impl Network {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::message::FlitCount;
 
     fn net(n: usize) -> Network {
         Network::new(MeshTopology::for_nodes(n), NetConfig::default())

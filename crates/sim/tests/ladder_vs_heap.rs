@@ -102,10 +102,11 @@ fn ladder_matches_heap_on_randomized_interleavings() {
 
 #[test]
 fn wide_window_ladders_match_heap_on_randomized_interleavings() {
-    // The scaling path (`MachineConfig::event_horizon`) widens the
-    // bucket window; every geometry must stay observationally
-    // identical to the heap reference, with delays drawn to straddle
-    // *that* window's boundary rather than the default one.
+    // The scaling path (the machine derives its window from the node
+    // count) widens the bucket window; every geometry must stay
+    // observationally identical to the heap reference, with delays
+    // drawn to straddle *that* window's boundary rather than the
+    // default one.
     let mut seeder = SplitMix64::new(0x71de_11a2_dde2);
     for window in [64usize, 2048, 4096, 16384] {
         for _ in 0..150 {
