@@ -8,15 +8,18 @@
 //! sets, which is why AQ "performs equally well for all protocols that
 //! implement at least one directory pointer in hardware".
 //!
-//! The recursion runs offline (real arithmetic, adaptive Simpson in
-//! each dimension composed over 2-D panels); nodes replay the panel
-//! streams and combine partial sums through a binary reduction tree in
-//! shared memory.
+//! The recursion runs in plain Rust before the run (real arithmetic,
+//! adaptive Simpson in each dimension composed over 2-D panels); nodes
+//! emit the panel streams step by step and combine partial sums through
+//! a binary reduction tree in shared memory.
+
+use std::sync::Arc;
 
 use limitless_machine::{Op, Program, Rmw};
 use limitless_sim::Addr;
 
-use crate::layout::{chunk, slot, AddressSpace, ScriptWithCode, LINE};
+use crate::layout::{chunk, slot, AddressSpace, LINE};
+use crate::phased::Phased;
 use crate::{App, Scale};
 
 /// Fixed-point scale for carrying the integral through `u64` shared
@@ -126,6 +129,7 @@ impl Aq {
     }
 }
 
+#[derive(Clone, Copy)]
 struct AqLayout {
     panels: Addr,
     partials: Addr,
@@ -150,59 +154,74 @@ impl App for Aq {
         let panels = self.top_panels();
         let per_panel_tol = self.tolerance / panels.len() as f64;
         // Offline: integral and visit count per top-level panel.
-        let work: Vec<(f64, usize)> = panels
+        let work: Arc<[(f64, usize)]> = panels
             .iter()
             .map(|&(a, b, c, d)| self.adapt(a, b, c, d, per_panel_tol))
             .collect();
 
         (0..nodes)
             .map(|me| {
-                let mut ops = Vec::new();
-                // Node 0 produces the panel descriptors; everyone
-                // consumes their chunk after a barrier.
-                if me == 0 {
-                    for (t, _) in panels.iter().enumerate() {
-                        ops.push(Op::Write(slot(l.panels, t as u64), t as u64 + 1));
-                    }
-                }
-                ops.push(Op::Barrier);
-                let (start, end) = chunk(panels.len(), nodes, me);
+                let work = Arc::clone(&work);
+                let (start, end) = chunk(work.len(), nodes, me);
+                let partial = Addr(l.partials.0 + (me as u64) * LINE);
                 let mut sum = 0.0;
-                for (t, &(value, visits)) in work.iter().enumerate().take(end).skip(start) {
-                    // Consume the descriptor (producer-consumer read).
-                    ops.push(Op::Read(slot(l.panels, t as u64)));
-                    sum += value;
-                    // The recursion itself is local compute plus
-                    // private stack traffic.
-                    for v in 0..visits {
-                        ops.push(Op::Compute(1000));
-                        if v % 4 == 3 {
-                            ops.push(Op::Write(
-                                Addr(l.partials.0 + (me as u64) * LINE),
-                                (sum * FIXED_POINT) as u64,
-                            ));
+                // One phase per barrier-separated step.
+                Box::new(Phased::new(None, move |step, ops: &mut Vec<Op>| {
+                    match step {
+                        // Node 0 produces the panel descriptors;
+                        // everyone consumes their chunk after a
+                        // barrier.
+                        0 => {
+                            if me == 0 {
+                                for t in 0..work.len() {
+                                    ops.push(Op::Write(slot(l.panels, t as u64), t as u64 + 1));
+                                }
+                            }
+                            ops.push(Op::Barrier);
                         }
+                        1 => {
+                            for (t, &(value, visits)) in
+                                work.iter().enumerate().take(end).skip(start)
+                            {
+                                // Consume the descriptor
+                                // (producer-consumer read).
+                                ops.push(Op::Read(slot(l.panels, t as u64)));
+                                sum += value;
+                                // The recursion itself is local compute
+                                // plus private stack traffic.
+                                for v in 0..visits {
+                                    ops.push(Op::Compute(1000));
+                                    if v % 4 == 3 {
+                                        ops.push(Op::Write(partial, (sum * FIXED_POINT) as u64));
+                                    }
+                                }
+                            }
+                            // Publish the final partial sum, then
+                            // reduce.
+                            ops.push(Op::Write(partial, (sum * FIXED_POINT) as u64));
+                            ops.push(Op::Barrier);
+                        }
+                        // Binary reduction tree: at round r, nodes
+                        // with me % 2^(r+1) == 0 read their partner's
+                        // partial and add it into the global result
+                        // via fetch-add.
+                        2 => {
+                            if me == 0 {
+                                ops.push(Op::Write(l.result, 0));
+                            }
+                            ops.push(Op::Barrier);
+                        }
+                        3 => {
+                            ops.push(Op::Rmw(l.result, Rmw::Add((sum * FIXED_POINT) as u64)));
+                            ops.push(Op::Barrier);
+                            if me == 0 {
+                                ops.push(Op::Read(l.result));
+                            }
+                        }
+                        _ => return false,
                     }
-                }
-                // Publish the final partial sum, then reduce.
-                ops.push(Op::Write(
-                    Addr(l.partials.0 + (me as u64) * LINE),
-                    (sum * FIXED_POINT) as u64,
-                ));
-                ops.push(Op::Barrier);
-                // Binary reduction tree: at round r, nodes with
-                // me % 2^(r+1) == 0 read their partner's partial and
-                // add it into the global result via fetch-add.
-                if me == 0 {
-                    ops.push(Op::Write(l.result, 0));
-                }
-                ops.push(Op::Barrier);
-                ops.push(Op::Rmw(l.result, Rmw::Add((sum * FIXED_POINT) as u64)));
-                ops.push(Op::Barrier);
-                if me == 0 {
-                    ops.push(Op::Read(l.result));
-                }
-                Box::new(ScriptWithCode::new(ops, None)) as Box<dyn Program>
+                    true
+                })) as Box<dyn Program>
             })
             .collect()
     }

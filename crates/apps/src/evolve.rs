@@ -10,10 +10,14 @@
 //! heavy tail of nontrivial worker sets is what makes EVOLVE the worst
 //! case for `Dir_nH_5S_{NB}` in Figure 4.
 
+use std::cmp::Ordering;
+use std::sync::Arc;
+
 use limitless_machine::{Op, Program, Rmw};
 use limitless_sim::{Addr, SplitMix64};
 
-use crate::layout::{slot, word, AddressSpace, ScriptWithCode};
+use crate::layout::{slot, word, AddressSpace};
+use crate::phased::Phased;
 use crate::{App, Scale};
 
 /// EVOLVE configuration.
@@ -104,6 +108,7 @@ impl Evolve {
     }
 }
 
+#[derive(Clone, Copy)]
 struct EvolveLayout {
     fitness: Addr,
     marks: Addr,
@@ -138,45 +143,52 @@ impl App for Evolve {
 
     fn programs(&self, nodes: usize) -> Vec<Box<dyn Program>> {
         let l = self.layout();
-        let starts = self.walk_starts();
+        let starts: Arc<[u64]> = self.walk_starts().into();
+        let e = *self;
         (0..nodes)
             .map(|me| {
-                let mut ops = Vec::new();
-                let mut local_best = 0u64;
-                for (w, &start) in starts.iter().enumerate() {
-                    if w % nodes != me {
-                        continue;
-                    }
-                    // Fetch the assigned start descriptor.
-                    ops.push(Op::Read(slot(l.starts, (w as u64) % 4096)));
-                    let path = self.walk(start);
-                    for &v in &path {
-                        // Evaluate the neighbourhood: read the fitness
-                        // words of the vertex and a sample of its
-                        // neighbours (the shared traffic), and mark the
-                        // vertex visited (read-write sharing: popular
-                        // vertices near the global maximum are marked
-                        // by walks from every node).
-                        ops.push(Op::Read(word(l.fitness, v)));
-                        for d in 0..self.dims.min(4) {
-                            ops.push(Op::Read(word(l.fitness, v ^ (1 << d))));
+                let starts = Arc::clone(&starts);
+                // Walks are dealt round-robin: one phase per walk of
+                // mine, then a last phase reports completion.
+                let walks = starts.len().saturating_sub(me).div_ceil(nodes);
+                Box::new(Phased::new(None, move |k, ops: &mut Vec<Op>| {
+                    match k.cmp(&walks) {
+                        Ordering::Less => {
+                            let w = me + k * nodes;
+                            // Fetch the assigned start descriptor.
+                            ops.push(Op::Read(slot(l.starts, (w as u64) % 4096)));
+                            let path = e.walk(starts[w]);
+                            for &v in &path {
+                                // Evaluate the neighbourhood: read the
+                                // fitness words of the vertex and a
+                                // sample of its neighbours (the shared
+                                // traffic), and mark the vertex visited
+                                // (read-write sharing: popular vertices
+                                // near the global maximum are marked by
+                                // walks from every node).
+                                ops.push(Op::Read(word(l.fitness, v)));
+                                for d in 0..e.dims.min(4) {
+                                    ops.push(Op::Read(word(l.fitness, v ^ (1 << d))));
+                                }
+                                ops.push(Op::Rmw(word(l.marks, v), Rmw::Add(1)));
+                                ops.push(Op::Compute(1800 + 40 * u64::from(e.dims)));
+                            }
+                            let end = *path.last().expect("walk is non-empty");
+                            // Publish improvements to the global maximum
+                            // (the widely-written hot block).
+                            ops.push(Op::Rmw(l.best, Rmw::Max(e.fitness(end))));
                         }
-                        ops.push(Op::Rmw(word(l.marks, v), Rmw::Add(1)));
-                        ops.push(Op::Compute(1800 + 40 * u64::from(self.dims)));
+                        Ordering::Equal => {
+                            ops.push(Op::Rmw(l.done, Rmw::Add(1)));
+                            ops.push(Op::Barrier);
+                            if me == 0 {
+                                ops.push(Op::Read(l.best));
+                            }
+                        }
+                        Ordering::Greater => return false,
                     }
-                    let end = *path.last().expect("walk is non-empty");
-                    let f = self.fitness(end);
-                    local_best = local_best.max(f);
-                    // Publish improvements to the global maximum (the
-                    // widely-written hot block).
-                    ops.push(Op::Rmw(l.best, Rmw::Max(f)));
-                }
-                ops.push(Op::Rmw(l.done, Rmw::Add(1)));
-                ops.push(Op::Barrier);
-                if me == 0 {
-                    ops.push(Op::Read(l.best));
-                }
-                Box::new(ScriptWithCode::new(ops, None)) as Box<dyn Program>
+                    true
+                })) as Box<dyn Program>
             })
             .collect()
     }

@@ -1,9 +1,6 @@
-//! Shared-address-space layout helpers and the script-with-code
-//! program wrapper.
+//! Shared-address-space layout helpers.
 
-use limitless_cache::InstrFootprint;
-use limitless_machine::{Op, Program, ScriptProgram};
-use limitless_sim::{Addr, NodeId};
+use limitless_sim::Addr;
 
 /// Bytes per cache line / memory block (the Alewife 16-byte block).
 pub const LINE: u64 = 16;
@@ -73,33 +70,6 @@ pub fn word(base: Addr, i: u64) -> Addr {
 /// per-node slots).
 pub fn slot(base: Addr, i: u64) -> Addr {
     Addr(base.0 + i * LINE)
-}
-
-/// A [`ScriptProgram`] with an instruction footprint: the standard
-/// application program shape.
-pub struct ScriptWithCode {
-    script: ScriptProgram,
-    footprint: Option<InstrFootprint>,
-}
-
-impl ScriptWithCode {
-    /// Wraps `ops` with an optional code footprint.
-    pub fn new(ops: Vec<Op>, footprint: Option<InstrFootprint>) -> Self {
-        ScriptWithCode {
-            script: ScriptProgram::new_unrecorded(ops),
-            footprint,
-        }
-    }
-}
-
-impl Program for ScriptWithCode {
-    fn next(&mut self, node: NodeId, last_value: Option<u64>) -> Op {
-        self.script.next(node, last_value)
-    }
-
-    fn instr_footprint(&self, _node: NodeId) -> Option<InstrFootprint> {
-        self.footprint
-    }
 }
 
 /// Splits `total` items into `parts` contiguous chunks as evenly as

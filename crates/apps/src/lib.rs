@@ -11,19 +11,24 @@
 //! | MP3D   | C              | 10 000 particles | cell contention, low speedups (Fig. 4e) |
 //! | WATER  | C              | 64 molecules     | all-to-all read sharing (Fig. 4f) |
 //!
-//! Each application runs its real algorithm *offline* (deterministic,
-//! in plain Rust) and replays the resulting per-node memory reference
-//! streams — addresses, read/write mix, synchronization and genuine
-//! data values — on the simulated machine. The coherence protocols
-//! observe exactly the sharing structure the algorithm produces, which
-//! is what determines protocol behaviour (see DESIGN.md for the full
-//! substitution argument). TSP is seeded with the optimal bound, as in
-//! the paper, precisely so that its work is deterministic.
+//! Each application runs its real algorithm (deterministic, in plain
+//! Rust) and hands every node a [`phased::Phased`] program that
+//! generates the node's memory references one phase at a time — one
+//! sweep, time step, round, walk or subtree — as the simulated node
+//! reaches it: addresses, read/write mix, synchronization and genuine
+//! data values. Tables every node reads (schedules, trajectories,
+//! distance matrices) are computed once per [`App::programs`] call and
+//! shared. The coherence protocols observe exactly the sharing
+//! structure the algorithm produces, which is what determines protocol
+//! behaviour (see DESIGN.md for the full substitution argument). TSP is
+//! seeded with the optimal bound, as in the paper, precisely so that
+//! its work is deterministic.
 
 pub mod aq;
 pub mod evolve;
 pub mod layout;
 pub mod mp3d;
+pub mod phased;
 pub mod registry;
 pub mod smgrid;
 pub mod spec;

@@ -8,10 +8,13 @@
 //! sets — the communication pattern behind MP3D's notoriously low
 //! speedups. Run with the locking option off, as in the paper.
 
+use std::sync::Arc;
+
 use limitless_machine::{Op, Program, Rmw};
 use limitless_sim::{Addr, SplitMix64};
 
-use crate::layout::{chunk, slot, word, AddressSpace, ScriptWithCode};
+use crate::layout::{chunk, slot, word, AddressSpace};
+use crate::phased::Phased;
 use crate::{App, Scale};
 
 /// MP3D configuration.
@@ -101,6 +104,7 @@ impl Mp3d {
     }
 }
 
+#[derive(Clone, Copy)]
 struct Mp3dLayout {
     particles: Addr,
     cells: Addr,
@@ -122,13 +126,17 @@ impl App for Mp3d {
 
     fn programs(&self, nodes: usize) -> Vec<Box<dyn Program>> {
         let l = self.layout();
-        let traj = self.trajectories();
+        let traj = Arc::new(self.trajectories());
         (0..nodes)
             .map(|me| {
                 let (p0, p1) = chunk(self.particles, nodes, me);
-                let mut ops = Vec::new();
-                for step in &traj {
-                    for (p, &dest) in step.iter().enumerate().take(p1).skip(p0) {
+                let traj = Arc::clone(&traj);
+                // One phase is one time step.
+                Box::new(Phased::new(None, move |step, ops: &mut Vec<Op>| {
+                    let Some(cells) = traj.get(step) else {
+                        return false;
+                    };
+                    for (p, &dest) in cells.iter().enumerate().take(p1).skip(p0) {
                         // Advance my particle: read + write its record
                         // (private), then update the destination cell
                         // (shared, contended).
@@ -143,8 +151,8 @@ impl App for Mp3d {
                     // Per-step global momentum accumulation, then sync.
                     ops.push(Op::Rmw(l.momentum, Rmw::Add((p1 - p0) as u64)));
                     ops.push(Op::Barrier);
-                }
-                Box::new(ScriptWithCode::new(ops, None)) as Box<dyn Program>
+                    true
+                })) as Box<dyn Program>
             })
             .collect()
     }

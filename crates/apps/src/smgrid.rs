@@ -14,7 +14,8 @@
 use limitless_machine::{Op, Program};
 use limitless_sim::Addr;
 
-use crate::layout::{chunk, word, AddressSpace, ScriptWithCode};
+use crate::layout::{chunk, word, AddressSpace};
+use crate::phased::Phased;
 use crate::{App, Scale};
 
 /// SMGRID configuration.
@@ -96,61 +97,63 @@ impl App for Smgrid {
             self.side,
             self.levels
         );
+        // One phase is one barrier-delimited sweep. A V-cycle visits
+        // the levels descending the pyramid (restriction), then
+        // ascending (prolongation): 0, 1, .., L-1, .., 1, 0, each
+        // relaxed `sweeps` times.
+        let visits = 2 * self.levels - 1;
+        let phases = self.cycles * visits * self.sweeps;
+        let grid = *self;
         (0..nodes)
             .map(|me| {
-                let mut ops = Vec::new();
-                for _cycle in 0..self.cycles {
-                    // Descend the pyramid (restriction), relax at each
-                    // level, then ascend (prolongation).
-                    for level in 0..self.levels {
-                        self.emit_level(&mut ops, nodes, me, level);
+                Box::new(Phased::new(None, move |phase, ops: &mut Vec<Op>| {
+                    if phase == phases {
+                        return false;
                     }
-                    for level in (0..self.levels - 1).rev() {
-                        self.emit_level(&mut ops, nodes, me, level);
-                    }
-                }
-                Box::new(ScriptWithCode::new(ops, None)) as Box<dyn Program>
+                    let visit = phase / grid.sweeps % visits;
+                    let level = visit.min(visits - 1 - visit);
+                    grid.emit_sweep(ops, nodes, me, level);
+                    true
+                })) as Box<dyn Program>
             })
             .collect()
     }
 }
 
 impl Smgrid {
-    /// One level's worth of relaxation sweeps for node `me`.
-    fn emit_level(&self, ops: &mut Vec<Op>, nodes: usize, me: usize, level: usize) {
+    /// One relaxation sweep of `level` for node `me`, ending at the
+    /// sweep's barrier.
+    fn emit_sweep(&self, ops: &mut Vec<Op>, nodes: usize, me: usize, level: usize) {
         let side = self.level_side(level);
         let base = self.grid_base(level);
         // Coarse levels engage fewer nodes (at most one row each):
         // the paper's "only a subset of nodes work during the
         // relaxation on the upper levels of the pyramid".
         let active = nodes.min(side.saturating_sub(2)).max(1);
-        let working = me < active;
-        for _sweep in 0..self.sweeps {
-            if working {
-                let (r0, r1) = chunk(side - 2, active, me);
-                // Read the halo row above and below the strip
-                // (neighbour-owned: the sharing traffic). Every point
-                // is consumed; two points share each 16-byte block.
-                for col in 0..side {
-                    ops.push(Op::Read(word(base, (r0 as u64) * side as u64 + col as u64)));
-                    ops.push(Op::Read(word(
-                        base,
-                        (r1 as u64 + 1) * side as u64 + col as u64,
-                    )));
-                }
-                // Relax the interior rows: read-modify every point
-                // (~25 cycles of stencil arithmetic each).
-                for row in r0 + 1..=r1 {
-                    for col in 1..side - 1 {
-                        let idx = (row as u64) * side as u64 + col as u64;
-                        ops.push(Op::Read(word(base, idx)));
-                        ops.push(Op::Write(word(base, idx), (level as u64) << 32 | idx));
-                        ops.push(Op::Compute(150));
-                    }
+        if me < active {
+            let (r0, r1) = chunk(side - 2, active, me);
+            // Read the halo row above and below the strip
+            // (neighbour-owned: the sharing traffic). Every point
+            // is consumed; two points share each 16-byte block.
+            for col in 0..side {
+                ops.push(Op::Read(word(base, (r0 as u64) * side as u64 + col as u64)));
+                ops.push(Op::Read(word(
+                    base,
+                    (r1 as u64 + 1) * side as u64 + col as u64,
+                )));
+            }
+            // Relax the interior rows: read-modify every point
+            // (~25 cycles of stencil arithmetic each).
+            for row in r0 + 1..=r1 {
+                for col in 1..side - 1 {
+                    let idx = (row as u64) * side as u64 + col as u64;
+                    ops.push(Op::Read(word(base, idx)));
+                    ops.push(Op::Write(word(base, idx), (level as u64) << 32 | idx));
+                    ops.push(Op::Compute(150));
                 }
             }
-            ops.push(Op::Barrier);
         }
+        ops.push(Op::Barrier);
     }
 }
 

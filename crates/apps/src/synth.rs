@@ -23,11 +23,14 @@
 //! see the node count — stay consistent with [`App::programs`] at any
 //! machine size.
 
+use std::sync::Arc;
+
 use limitless_cache::InstrFootprint;
 use limitless_machine::{Op, Program, Rmw};
 use limitless_sim::{Addr, SplitMix64};
 
-use crate::layout::{slot, ScriptWithCode};
+use crate::layout::slot;
+use crate::phased::Phased;
 use crate::{App, Scale};
 
 /// How block ownership moves between rounds.
@@ -364,7 +367,8 @@ fn pick_readers(
     while set.len() < k && i < nodes {
         let cand = (start + i) % nodes;
         i += 1;
-        if cand != writer && !set.contains(&cand) {
+        // Ring candidates are distinct, so only `must` can repeat.
+        if cand != writer && Some(cand) != must {
             set.push(cand);
         }
     }
@@ -397,29 +401,49 @@ impl App for Synth {
             .footprint
             .code_blocks()
             .map(|code| InstrFootprint::new(0, code));
+        // Transpose the reader sets once: `reads[r][n]` lists, in
+        // ascending order, the blocks node `n` reads in round `r`.
+        let reads: Vec<Vec<Vec<usize>>> = sched
+            .readers
+            .iter()
+            .map(|row| {
+                let mut by_node = vec![Vec::new(); nodes];
+                for (b, set) in row.iter().enumerate() {
+                    for &n in set {
+                        by_node[n].push(b);
+                    }
+                }
+                by_node
+            })
+            .collect();
+        let rounds = Arc::new((reads, sched.sync_nodes));
+        let spec = *self;
 
         (0..nodes)
             .map(|me| {
+                let rounds = Arc::clone(&rounds);
                 // Private traffic draws from a per-node stream so its
                 // volume varies node-to-node without touching the
                 // shared schedule.
                 let mut rng =
                     SplitMix64::new(self.seed ^ (me as u64).wrapping_mul(0xD6E8_FEB8_6659_FD93));
-                let mut ops = Vec::new();
                 let mut priv_vals = [0u64; PRIVATE_OPS];
-                for r in 0..self.rounds {
+                // One phase is one round.
+                Box::new(Phased::new(footprint, move |r, ops: &mut Vec<Op>| {
+                    let (reads, sync_nodes) = &*rounds;
+                    let Some(mine) = reads.get(r) else {
+                        return false;
+                    };
                     // Read phase: every block whose reader set holds me.
-                    for b in 0..self.blocks {
-                        if sched.readers[r][b].contains(&me) {
-                            ops.push(Op::Read(self.shared_slot(b)));
-                        }
+                    for &b in &mine[me] {
+                        ops.push(Op::Read(spec.shared_slot(b)));
                     }
                     // Private mix: reads and writes in the rw ratio,
                     // on this node's own blocks — protocol-invisible
                     // values, real cache/home traffic.
                     for (s, val) in priv_vals.iter_mut().enumerate() {
                         let a = Self::private_slot(me, s);
-                        if rng.next_f64() < self.rw {
+                        if rng.next_f64() < spec.rw {
                             *val = val.wrapping_add(1 + r as u64);
                             ops.push(Op::Write(a, *val));
                         } else {
@@ -429,21 +453,21 @@ impl App for Synth {
                     ops.push(Op::Compute(1 + rng.next_below(64)));
                     // Sync episode: lock-guarded atomic add. The grant
                     // order varies across protocols; the sum does not.
-                    if let Some(lock) = sched.sync_nodes[r][me] {
+                    if let Some(lock) = sync_nodes[r][me] {
                         ops.push(Op::LockAcquire(lock));
                         ops.push(Op::Rmw(Self::counter_slot(lock), Rmw::Add(1)));
                         ops.push(Op::LockRelease(lock));
                     }
                     ops.push(Op::Barrier);
                     // Write phase: the blocks I own this round.
-                    for b in 0..self.blocks {
-                        if self.writer(b, r, nodes) == me {
-                            ops.push(Op::Write(self.shared_slot(b), self.value(b, r)));
+                    for b in 0..spec.blocks {
+                        if spec.writer(b, r, nodes) == me {
+                            ops.push(Op::Write(spec.shared_slot(b), spec.value(b, r)));
                         }
                     }
                     ops.push(Op::Barrier);
-                }
-                Box::new(ScriptWithCode::new(ops, footprint)) as Box<dyn Program>
+                    true
+                })) as Box<dyn Program>
             })
             .collect()
     }

@@ -16,15 +16,19 @@
 //!   degradation of Figure 3, repaired by perfect-ifetch or a victim
 //!   cache.
 //!
-//! The search itself runs offline (plain Rust, exact) and each
-//! simulated node replays the reference stream of the subtrees
-//! assigned to it.
+//! The search itself runs in plain Rust (exact): each simulated node
+//! searches the subtrees assigned to it one at a time, as it reaches
+//! them, and emits the reference stream of each search.
+
+use std::cmp::Ordering;
+use std::sync::Arc;
 
 use limitless_cache::InstrFootprint;
 use limitless_machine::{Op, Program};
 use limitless_sim::{Addr, SplitMix64};
 
-use crate::layout::{word, AddressSpace, ScriptWithCode, LINE};
+use crate::layout::{word, AddressSpace, LINE};
+use crate::phased::Phased;
 use crate::{App, Scale};
 
 /// TSP configuration.
@@ -216,6 +220,7 @@ fn solve(
     }
 }
 
+#[derive(Clone, Copy)]
 struct TspLayout {
     matrix: Addr,
     bound: Addr,
@@ -258,11 +263,11 @@ impl App for Tsp {
 
     fn programs(&self, nodes: usize) -> Vec<Box<dyn Program>> {
         let l = self.layout();
-        let d = self.distances();
+        let d = Arc::new(self.distances());
         let n = self.cities as u64;
         let optimal = self.optimal();
 
-        let prefixes = self.prefixes();
+        let prefixes: Arc<[[usize; 3]]> = self.prefixes().into();
 
         // The thrash layout: position the hot loop's code on the same
         // cache sets as the bound and counter blocks (and nothing
@@ -275,7 +280,9 @@ impl App for Tsp {
 
         (0..nodes)
             .map(|me| {
-                let mut ops = Vec::new();
+                let tsp = self.clone();
+                let d = Arc::clone(&d);
+                let prefixes = Arc::clone(&prefixes);
                 let mut total = 0u64;
                 // Per-node tour stack: unique addresses per node, all
                 // mapping to cache sets 1024.. — clear of the matrix
@@ -283,47 +290,59 @@ impl App for Tsp {
                 // node's own cache.
                 let private = Addr((0x10_0000 + me as u64 * 4096 + 1024) * LINE);
                 let _ = l.private_base;
-                for (t, &p) in prefixes.iter().enumerate() {
-                    if t % nodes != me {
-                        continue;
+                // Subtrees are dealt round-robin: one phase per subtree
+                // of mine, then a last phase publishes the results.
+                let subtrees = prefixes.len().saturating_sub(me).div_ceil(nodes);
+                let program = Phased::new(Some(footprint), move |k, ops: &mut Vec<Op>| {
+                    match k.cmp(&subtrees) {
+                        Ordering::Less => {
+                            let t = me + k * nodes;
+                            // Fetch the work descriptor for this subtree.
+                            ops.push(Op::Read(Addr(l.subtrees.0 + (t as u64 % 512) * LINE)));
+                            let visits = tsp.subtree_visits(&d, optimal, prefixes[t]);
+                            for (v, &city) in visits.iter().enumerate() {
+                                // The inner loop: consult the global
+                                // bound and the shared work counter (the
+                                // two blocks every node touches), scan
+                                // this city's distance row, push the
+                                // tour frame to the private stack,
+                                // think.
+                                ops.push(Op::Read(l.bound));
+                                ops.push(Op::Read(l.counter));
+                                ops.push(Op::Read(word(l.matrix, city as u64 * n)));
+                                ops.push(Op::Read(word(l.matrix, city as u64 * n + n / 2)));
+                                ops.push(Op::Write(
+                                    Addr(private.0 + (v as u64 % 32) * LINE),
+                                    city as u64,
+                                ));
+                                ops.push(Op::Compute(1600));
+                            }
+                            total += visits.len() as u64;
+                        }
+                        Ordering::Equal => {
+                            // Publish this node's expansion count to its
+                            // own slot; node 0 folds them after the
+                            // barrier. (A fetch-add on one global
+                            // counter would serialize a machine-wide
+                            // write storm at the end of the run — the
+                            // paper's two hot blocks are read-mostly.)
+                            ops.push(Op::Write(
+                                Addr(l.subtrees.0 + (256 + me as u64 % 256) * LINE),
+                                total,
+                            ));
+                            ops.push(Op::Barrier);
+                            if me == 0 {
+                                // Publish the answer (already optimal by
+                                // seeding).
+                                ops.push(Op::Read(l.bound));
+                                ops.push(Op::Write(l.result, optimal));
+                            }
+                        }
+                        Ordering::Greater => return false,
                     }
-                    // Fetch the work descriptor for this subtree.
-                    ops.push(Op::Read(Addr(l.subtrees.0 + (t as u64 % 512) * LINE)));
-                    let visits = self.subtree_visits(&d, optimal, p);
-                    for (v, &city) in visits.iter().enumerate() {
-                        // The inner loop: consult the global bound and
-                        // the shared work counter (the two blocks every
-                        // node touches), scan this city's distance row,
-                        // push the tour frame to the private stack,
-                        // think.
-                        ops.push(Op::Read(l.bound));
-                        ops.push(Op::Read(l.counter));
-                        ops.push(Op::Read(word(l.matrix, city as u64 * n)));
-                        ops.push(Op::Read(word(l.matrix, city as u64 * n + n / 2)));
-                        ops.push(Op::Write(
-                            Addr(private.0 + (v as u64 % 32) * LINE),
-                            city as u64,
-                        ));
-                        ops.push(Op::Compute(1600));
-                    }
-                    total += visits.len() as u64;
-                }
-                // Publish this node's expansion count to its own slot;
-                // node 0 folds them after the barrier. (A fetch-add on
-                // one global counter would serialize a machine-wide
-                // write storm at the end of the run — the paper's two
-                // hot blocks are read-mostly.)
-                ops.push(Op::Write(
-                    Addr(l.subtrees.0 + (256 + me as u64 % 256) * LINE),
-                    total,
-                ));
-                ops.push(Op::Barrier);
-                if me == 0 {
-                    // Publish the answer (already optimal by seeding).
-                    ops.push(Op::Read(l.bound));
-                    ops.push(Op::Write(l.result, optimal));
-                }
-                Box::new(ScriptWithCode::new(ops, Some(footprint))) as Box<dyn Program>
+                    true
+                });
+                Box::new(program) as Box<dyn Program>
             })
             .collect()
     }

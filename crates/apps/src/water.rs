@@ -9,10 +9,13 @@
 //! across the whole spectrum and the software-only directory still
 //! achieves ~70 % of full-map.
 
+use std::sync::Arc;
+
 use limitless_machine::{Op, Program, Rmw};
 use limitless_sim::{Addr, SplitMix64};
 
-use crate::layout::{chunk, slot, AddressSpace, ScriptWithCode};
+use crate::layout::{chunk, slot, AddressSpace};
+use crate::phased::Phased;
 use crate::{App, Scale};
 
 /// WATER configuration.
@@ -75,6 +78,7 @@ impl Water {
     }
 }
 
+#[derive(Clone, Copy)]
 struct WaterLayout {
     positions: Addr,
     forces: Addr,
@@ -96,17 +100,22 @@ impl App for Water {
 
     fn programs(&self, nodes: usize) -> Vec<Box<dyn Program>> {
         let l = self.layout();
-        let states = self.states();
+        let states = Arc::new(self.states());
+        let molecules = self.molecules;
         (0..nodes)
             .map(|me| {
-                let (m0, m1) = chunk(self.molecules, nodes, me);
-                let mut ops = Vec::new();
-                for step in &states {
+                let (m0, m1) = chunk(molecules, nodes, me);
+                let states = Arc::clone(&states);
+                // One phase is one time step.
+                Box::new(Phased::new(None, move |step, ops: &mut Vec<Op>| {
+                    let Some(step) = states.get(step) else {
+                        return false;
+                    };
                     // Force phase: for each owned molecule, interact
                     // with every later molecule (the classic
                     // triangular loop): read the partner's position.
                     for (i, &st) in step.iter().enumerate().take(m1).skip(m0) {
-                        for j in i + 1..self.molecules {
+                        for j in i + 1..molecules {
                             ops.push(Op::Read(slot(l.positions, j as u64)));
                             ops.push(Op::Compute(2500));
                         }
@@ -123,8 +132,8 @@ impl App for Water {
                     let e: u64 = (m0..m1).map(|i| step[i] & 0xFF).sum();
                     ops.push(Op::Rmw(l.energy, Rmw::Add(e)));
                     ops.push(Op::Barrier);
-                }
-                Box::new(ScriptWithCode::new(ops, None)) as Box<dyn Program>
+                    true
+                })) as Box<dyn Program>
             })
             .collect()
     }

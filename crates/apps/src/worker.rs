@@ -11,7 +11,8 @@
 use limitless_machine::{Op, Program};
 use limitless_sim::Addr;
 
-use crate::layout::{slot, AddressSpace, ScriptWithCode};
+use crate::layout::{slot, AddressSpace};
+use crate::phased::Phased;
 use crate::App;
 
 /// WORKER configuration.
@@ -77,16 +78,20 @@ impl App for Worker {
         // directory pointer, not the home's one-bit local pointer —
         // and read by the next `set_size` nodes after the writer
         // (wrapping): an exact, evenly distributed worker set.
+        let w = *self;
         (0..nodes)
             .map(|me| {
-                let mut ops = Vec::new();
-                for _ in 0..self.iterations {
+                // One phase is one iteration.
+                Box::new(Phased::new(None, move |iteration, ops: &mut Vec<Op>| {
+                    if iteration == w.iterations {
+                        return false;
+                    }
                     // Read phase: read every block whose worker set
                     // contains me.
                     for j in 0..total_blocks {
                         let writer = (j + nodes / 2) % nodes;
                         let offset = (me + nodes - writer) % nodes;
-                        let is_reader = offset >= 1 && offset <= self.set_size;
+                        let is_reader = offset >= 1 && offset <= w.set_size;
                         if is_reader {
                             ops.push(Op::Read(slot(base, j as u64)));
                         }
@@ -99,8 +104,8 @@ impl App for Worker {
                         }
                     }
                     ops.push(Op::Barrier);
-                }
-                Box::new(ScriptWithCode::new(ops, None)) as Box<dyn Program>
+                    true
+                })) as Box<dyn Program>
             })
             .collect()
     }

@@ -2,9 +2,9 @@
 //! same synth spec must produce bit-identical results — cycle count,
 //! event count, aggregate statistics, final memory image and per-home
 //! block-id assignment — across repeated runs and across the serial
-//! and sharded engines. Everything a [`Synth`] emits is scripted
-//! offline from its seed, so any divergence is an engine bug, not
-//! workload noise.
+//! and sharded engines. Everything a [`Synth`] emits is a function of
+//! its seed alone, so any divergence is an engine bug, not workload
+//! noise.
 
 use limitless_apps::{run_app_with_machine, SharingPattern, Synth};
 use limitless_bench::fuzz::{sample_spec, DEFAULT_BASE_SEED};

@@ -111,41 +111,17 @@ impl<F> std::fmt::Debug for FnProgram<F> {
 pub struct ScriptProgram {
     ops: Vec<Op>,
     pc: usize,
-    record: bool,
-    /// Values observed by `Read`/`Rmw` ops, for post-run inspection.
-    pub observed: Vec<u64>,
 }
 
 impl ScriptProgram {
-    /// Creates a program that runs `ops` then finishes, recording
-    /// every observed read value into [`ScriptProgram::observed`].
+    /// Creates a program that runs `ops` then finishes.
     pub fn new(ops: Vec<Op>) -> Self {
-        ScriptProgram {
-            ops,
-            pc: 0,
-            record: true,
-            observed: Vec::new(),
-        }
-    }
-
-    /// Like [`ScriptProgram::new`], but observed values are discarded.
-    /// Wrappers that never expose `observed` (the application scripts)
-    /// use this to keep the per-read bookkeeping off the hot path.
-    pub fn new_unrecorded(ops: Vec<Op>) -> Self {
-        ScriptProgram {
-            record: false,
-            ..ScriptProgram::new(ops)
-        }
+        ScriptProgram { ops, pc: 0 }
     }
 }
 
 impl Program for ScriptProgram {
-    fn next(&mut self, _node: NodeId, last_value: Option<u64>) -> Op {
-        if self.record {
-            if let Some(v) = last_value {
-                self.observed.push(v);
-            }
-        }
+    fn next(&mut self, _node: NodeId, _last_value: Option<u64>) -> Op {
         let op = self.ops.get(self.pc).copied().unwrap_or(Op::Finish);
         self.pc += 1;
         op
@@ -173,7 +149,6 @@ mod tests {
         assert_eq!(p.next(NodeId(0), None), Op::Read(Addr(16)));
         assert_eq!(p.next(NodeId(0), Some(42)), Op::Finish);
         assert_eq!(p.next(NodeId(0), None), Op::Finish);
-        assert_eq!(p.observed, vec![42]);
     }
 
     #[test]
